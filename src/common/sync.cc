@@ -14,9 +14,9 @@
 //
 // Graph nodes are lock *names* (shared by all instances constructed
 // with the same string), because lock order is a property of lock
-// roles: "watchdog mu_ before attempt-race mu" must hold across every
-// watchdog and every race instance. Unnamed mutexes stay out of the
-// graph but still get same-instance recursion detection.
+// roles: "watchdog mu_ before cancellation-state mu" must hold across
+// every watchdog and every cancellation source. Unnamed mutexes stay
+// out of the graph but still get same-instance recursion detection.
 
 #ifndef NDEBUG
 

@@ -4,8 +4,8 @@
 // Pluggable task-execution backends for LocalRunner (DESIGN.md §16).
 //
 // The runner's phase drivers (map / combine / reduce loops, attempt
-// retry, speculation, watchdog) are backend-agnostic: every attempt
-// copy funnels through TaskExecutor::RunCopy. The in-process backend
+// retry, deadline watchdog) are backend-agnostic: every attempt
+// funnels through TaskExecutor::RunCopy. The in-process backend
 // runs the typed task body inline on the calling pool worker — the
 // zero-overhead path the engine always had. The worker-process backend
 // (worker_backend.h) ships the task to a forked worker process over
@@ -60,16 +60,16 @@ inline Result<Backend> ParseBackend(const std::string& name) {
                                  "' (expected inprocess|process)");
 }
 
-/// Per-copy view handed to task bodies. Bodies must (a) poll `cancel`
-/// in their long loops (emit / per-record / per-group) and surface it
-/// via ThrowIfCancelled, and (b) publish their side effects only
-/// through Commit. The CAS commit slot is shared by all copies of all
-/// attempts of one task, so exactly one copy ever commits — racing
-/// copies compute identical results from the same immutable input,
-/// and whichever loses the CAS simply discards its (identical) work.
+/// Per-attempt view handed to task bodies. Bodies must (a) poll
+/// `cancel` in their long loops (emit / per-record / per-group) and
+/// surface it via ThrowIfCancelled, and (b) publish their side effects
+/// only through Commit. The CAS commit slot is shared by all attempts
+/// of one task, so exactly one attempt ever commits — inline and
+/// remote (process-backend) results alike; a later attempt computes
+/// identical results from the same immutable input and simply
+/// discards them.
 struct TaskContext {
   size_t attempt = 0;
-  bool speculative = false;
   CancellationToken cancel{};
   std::atomic<bool>* commit_slot = nullptr;
 
@@ -86,7 +86,7 @@ struct TaskContext {
   }
 };
 
-/// In-memory body of one attempt copy (the engine's native form).
+/// In-memory body of one attempt (the engine's native form).
 using TaskBody = std::function<Status(const TaskContext&)>;
 
 /// Child-side compute of one task of the installed phase: runs the
@@ -103,9 +103,8 @@ using PhaseCommitFn = std::function<Status(
     const TaskContext& ctx, uint64_t task_index, std::string payload)>;
 
 /// Backend interface. One executor belongs to one LocalRunner; RunCopy
-/// is called concurrently from pool workers (and speculative-copy
-/// threads), BeginPhase/EndPhase only from the job thread between
-/// parallel loops.
+/// is called concurrently from pool workers, BeginPhase/EndPhase only
+/// from the job thread between parallel loops.
 class TaskExecutor {
  public:
   virtual ~TaskExecutor() = default;
@@ -123,15 +122,15 @@ class TaskExecutor {
   /// worker pool here). Paired with every BeginPhase.
   virtual void EndPhase() = 0;
 
-  /// Runs one attempt copy of `attempt` and publishes its result
-  /// through `ctx`. `inline_body` is always available as the native
-  /// in-memory execution of this copy; backends without a usable
+  /// Runs `attempt` and publishes its result through `ctx`.
+  /// `inline_body` is always available as the native in-memory
+  /// execution of this attempt; backends without a usable
   /// remote path for this task must fall back to it.
   virtual Status RunCopy(const TaskAttempt& attempt, const TaskContext& ctx,
                          const TaskBody& inline_body) = 0;
 };
 
-/// The engine's native backend: every copy runs its typed body inline
+/// The engine's native backend: every attempt runs its typed body inline
 /// on the calling thread. BeginPhase/EndPhase are no-ops.
 class InProcessExecutor final : public TaskExecutor {
  public:

@@ -42,12 +42,9 @@ struct TaskAttempt {
   TaskKind kind;
   size_t task_index;
   size_t attempt;  ///< 0-based attempt number within the task
-  /// True for the duplicate copy launched by speculative execution;
-  /// the primary copy of the same attempt number has this false.
-  bool speculative = false;
-  /// Cancellation token of this attempt copy. Injected delays and
-  /// hangs wait on it so a watchdog kill (or a speculation loser-kill)
-  /// unblocks them immediately; a default token never cancels.
+  /// Cancellation token of this attempt. Injected delays and hangs wait
+  /// on it so a watchdog deadline kill unblocks them immediately; a
+  /// default token never cancels.
   CancellationToken cancel{};
 };
 
@@ -119,16 +116,13 @@ class ScriptedFaultInjector : public FaultInjector {
     std::optional<size_t> attempt;
     /// How many attempts this rule kills before burning out.
     size_t fires = 1;
-    /// Unset matches both copies; set, it matches only the primary
-    /// (false) or only the speculative (true) copy of an attempt.
-    std::optional<bool> speculative;
     /// Throw instead of returning the status (simulates a crash the
     /// engine must catch rather than a clean failure).
     bool throws = false;
     /// Straggler injection: sleep this long before resolving the rule.
     /// The sleep waits on the attempt's cancellation token, so a
-    /// watchdog deadline-kill or a speculation loser-kill interrupts
-    /// it immediately (the delayed attempt then fails as cancelled).
+    /// watchdog deadline kill interrupts it immediately (the delayed
+    /// attempt then fails as cancelled).
     double delay_seconds = 0.0;
     /// Hang injection: block until the attempt is cancelled, then fail
     /// as cancelled — a task that never finishes on its own, the
@@ -172,8 +166,7 @@ class ScriptedFaultInjector : public FaultInjector {
   }
 
   /// Convenience: one-shot permanent hang of `attempt` of `task` —
-  /// blocks until the engine cancels the attempt (deadline kill or
-  /// speculation loser-kill).
+  /// blocks until the engine cancels the attempt (deadline kill).
   void HangOnce(std::string job_substring, size_t task_index,
                 size_t attempt) {
     Rule rule;
@@ -318,10 +311,6 @@ class ScriptedFaultInjector : public FaultInjector {
         if (rule.attempt.has_value() && *rule.attempt != attempt.attempt) {
           continue;
         }
-        if (rule.speculative.has_value() &&
-            *rule.speculative != attempt.speculative) {
-          continue;
-        }
         if (rule.fires != kUnlimitedFires) --rule.fires;
         ++injected_;
         fired = rule;
@@ -331,7 +320,7 @@ class ScriptedFaultInjector : public FaultInjector {
     }
     if (!matched) return Status::OK();
     if (fired.hang) {
-      // Block until the engine gives up on this copy. A null token
+      // Block until the engine gives up on this attempt. A null token
       // (cancellation disabled) blocks forever — the honest rendition
       // of a hung task on an engine without deadlines.
       attempt.cancel.WaitForCancel();

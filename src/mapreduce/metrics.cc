@@ -30,12 +30,6 @@ uint64_t MetricsRegistry::TotalRetriedTasks() const {
   return acc;
 }
 
-uint64_t MetricsRegistry::TotalSpeculativeAttempts() const {
-  uint64_t acc = 0;
-  for (const auto& j : jobs_) acc += j.speculative_attempts;
-  return acc;
-}
-
 uint64_t MetricsRegistry::TotalKilledAttempts() const {
   uint64_t acc = 0;
   for (const auto& j : jobs_) acc += j.killed_attempts;
@@ -62,9 +56,9 @@ MetricBag MetricsRegistry::MergedCounters() const {
 
 std::string MetricsRegistry::ToString() const {
   std::string out = StringPrintf(
-      "%-34s %8s %6s %12s %12s %6s %6s %6s %6s %6s %6s %6s %10s\n", "job",
+      "%-34s %8s %6s %12s %12s %6s %6s %6s %6s %6s %6s %10s\n", "job",
       "splits", "red.", "input", "shuffled(B)", "att.", "fail.", "retr.",
-      "spec.", "kill.", "ddl.", "skew", "time(s)");
+      "kill.", "ddl.", "skew", "time(s)");
   for (const auto& j : jobs_) {
     // Map-only jobs have no shuffle partitions; print "-" instead of a
     // meaningless 0.00 skew so the column stays readable either way.
@@ -72,30 +66,26 @@ std::string MetricsRegistry::ToString() const {
                                  ? std::string("     -")
                                  : StringPrintf("%6.2f", j.partition_skew);
     out += StringPrintf(
-        "%-34s %8zu %6zu %12llu %12llu %6llu %6llu %6llu %6llu %6llu %6llu "
-        "%s %10.4f%s\n",
+        "%-34s %8zu %6zu %12llu %12llu %6llu %6llu %6llu %6llu %6llu %s "
+        "%10.4f%s\n",
         j.job_name.c_str(), j.num_splits, j.num_reducers,
         static_cast<unsigned long long>(j.input_records),
         static_cast<unsigned long long>(j.shuffle_bytes),
         static_cast<unsigned long long>(j.task_attempts),
         static_cast<unsigned long long>(j.task_failures),
         static_cast<unsigned long long>(j.retried_tasks),
-        static_cast<unsigned long long>(j.speculative_attempts),
         static_cast<unsigned long long>(j.killed_attempts),
         static_cast<unsigned long long>(j.deadline_exceeded), skew.c_str(),
         j.total_seconds, j.succeeded ? "" : "  FAILED");
   }
   out += StringPrintf("TOTAL: %zu jobs, %llu input records, %llu shuffle "
                       "bytes, %llu failed attempts, %llu retried tasks, "
-                      "%llu speculative, %llu killed, %llu deadline, "
-                      "%.4f s\n",
+                      "%llu killed, %llu deadline, %.4f s\n",
                       jobs_.size(),
                       static_cast<unsigned long long>(TotalInputRecords()),
                       static_cast<unsigned long long>(TotalShuffleBytes()),
                       static_cast<unsigned long long>(TotalTaskFailures()),
                       static_cast<unsigned long long>(TotalRetriedTasks()),
-                      static_cast<unsigned long long>(
-                          TotalSpeculativeAttempts()),
                       static_cast<unsigned long long>(TotalKilledAttempts()),
                       static_cast<unsigned long long>(
                           TotalDeadlineExceeded()),
@@ -134,8 +124,7 @@ std::string MetricsRegistry::ToJson(const MetricBag* driver) const {
         "\"map_output_records\": %llu, \"shuffle_bytes\": %llu, "
         "\"output_records\": %llu, \"task_attempts\": %llu, "
         "\"task_failures\": %llu, \"retried_tasks\": %llu, "
-        "\"speculative_attempts\": %llu, \"killed_attempts\": %llu, "
-        "\"deadline_exceeded\": %llu, "
+        "\"killed_attempts\": %llu, \"deadline_exceeded\": %llu, "
         "\"succeeded\": %s, \"map_seconds\": %.6f, "
         "\"shuffle_seconds\": %.6f, \"reduce_seconds\": %.6f, "
         "\"total_seconds\": %.6f, \"partition_skew\": %.6f, "
@@ -149,7 +138,6 @@ std::string MetricsRegistry::ToJson(const MetricBag* driver) const {
         static_cast<unsigned long long>(j.task_attempts),
         static_cast<unsigned long long>(j.task_failures),
         static_cast<unsigned long long>(j.retried_tasks),
-        static_cast<unsigned long long>(j.speculative_attempts),
         static_cast<unsigned long long>(j.killed_attempts),
         static_cast<unsigned long long>(j.deadline_exceeded),
         j.succeeded ? "true" : "false", j.map_seconds, j.shuffle_seconds,
@@ -173,7 +161,6 @@ std::string MetricsRegistry::ToJson(const MetricBag* driver) const {
       "  \"total_input_records\": %llu,\n"
       "  \"total_task_failures\": %llu,\n"
       "  \"total_retried_tasks\": %llu,\n"
-      "  \"total_speculative_attempts\": %llu,\n"
       "  \"total_killed_attempts\": %llu,\n"
       "  \"total_deadline_exceeded\": %llu,\n"
       "  \"counters\": %s\n}\n",
@@ -182,7 +169,6 @@ std::string MetricsRegistry::ToJson(const MetricBag* driver) const {
       static_cast<unsigned long long>(TotalInputRecords()),
       static_cast<unsigned long long>(TotalTaskFailures()),
       static_cast<unsigned long long>(TotalRetriedTasks()),
-      static_cast<unsigned long long>(TotalSpeculativeAttempts()),
       static_cast<unsigned long long>(TotalKilledAttempts()),
       static_cast<unsigned long long>(TotalDeadlineExceeded()),
       MergedCounters().ToJson().c_str());

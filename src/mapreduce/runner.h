@@ -3,14 +3,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -67,45 +65,14 @@ struct RunnerOptions {
   /// (thrown exception or non-OK Status) is discarded wholesale and the
   /// task is re-run from its immutable input.
   size_t max_attempts = 4;
-  /// Deterministic exponential backoff between attempts of one task:
-  /// retry r sleeps min(retry_backoff_seconds * 2^(r-1),
-  /// retry_backoff_max_seconds). 0 disables sleeping (tests).
-  double retry_backoff_seconds = 0.0;
-  double retry_backoff_max_seconds = 0.05;
-  /// Wall-clock deadline per task-attempt copy, Hadoop's
+  /// Wall-clock deadline per task attempt, Hadoop's
   /// `mapreduce.task.timeout` collapsed to elapsed time (there is no
-  /// progress reporting in-process). 0 disables. An overdue copy is
+  /// progress reporting in-process). 0 disables. An overdue attempt is
   /// cooperatively cancelled by the runner's watchdog, counted in
   /// JobMetrics::killed_attempts / deadline_exceeded, converted to
   /// StatusCode::kDeadlineExceeded, and re-run under the normal
   /// max_attempts loop.
   double task_deadline_seconds = 0.0;
-  /// Hadoop-style speculative execution: once an attempt has run
-  /// `speculative_slowness_factor ×` the median completed-attempt
-  /// duration of its (job, task kind) population, the watchdog launches
-  /// a duplicate copy of the SAME attempt on a dedicated thread; the
-  /// first copy to finish commits (exactly once, via a CAS commit
-  /// slot) and the loser is cancelled. Output is byte-identical to a
-  /// non-speculative run: copies execute the same deterministic body
-  /// over the same immutable input, and results are always assembled
-  /// in task-index order, never finish order.
-  bool speculative_execution = false;
-  /// Slowness multiple over the median that marks a straggler
-  /// (Hadoop's 1.0-progress-score analog). Values <= 1 are treated
-  /// as 1 (the CLI rejects them outright).
-  double speculative_slowness_factor = 4.0;
-  /// Completed attempts of the same (job, kind) required before the
-  /// median is trusted.
-  size_t speculative_min_samples = 3;
-  /// Never speculate before an attempt has run at least this long —
-  /// a near-zero median must not turn every task into a speculation
-  /// candidate.
-  double speculative_min_runtime_seconds = 0.02;
-  /// Cap on concurrently running speculative copies (each runs on its
-  /// own dedicated thread, never on a pool worker — a speculative copy
-  /// queued behind the hung task it is meant to bypass would deadlock
-  /// the job).
-  size_t max_concurrent_speculative = 2;
   /// Optional fault-injection hook consulted at the start of every task
   /// attempt (see fault.h); the test substrate for the retry machinery.
   FaultInjector* fault_injector = nullptr;
@@ -314,20 +281,17 @@ class LocalRunner {
     const size_t chunk_records = options_.merge_chunk_records > 0
                                      ? options_.merge_chunk_records
                                      : kDefaultMergeChunkRecords;
-    // Shuffle bodies are pure engine compute — no task attempts, nothing
-    // that can hang — so they are always capped at hardware concurrency,
-    // even in straggler configurations where ExecWidth() leaves the task
-    // phases oversubscribed.
-    const size_t shuffle_width = ThreadPool::HardwareConcurrency();
+    // Capped at the core count, like every engine loop (see MapPhase).
+    const size_t width = ThreadPool::HardwareConcurrency();
     try {
       TraceSpan shuffle_span("shuffle-phase");
-      pool_.ParallelForCapped(num_partitions, shuffle_width, /*grain=*/1,
+      pool_.ParallelForCapped(num_partitions, width, /*grain=*/1,
                               [&](size_t p) {
         buffers.PlanMerge(p, chunk_records);
       });
       const size_t total_chunks = buffers.FinishPlan();
       std::vector<double> chunk_seconds(total_chunks, 0.0);
-      pool_.ParallelForCapped(total_chunks, shuffle_width, /*grain=*/1,
+      pool_.ParallelForCapped(total_chunks, width, /*grain=*/1,
                               [&](size_t c) {
         Stopwatch chunk_watch;
         buffers.MergeChunk(c);
@@ -338,7 +302,7 @@ class LocalRunner {
         metrics.partition_shuffle_seconds[buffers.ChunkPartition(c)] +=
             chunk_seconds[c];
       }
-      pool_.ParallelForCapped(num_partitions, shuffle_width, /*grain=*/1,
+      pool_.ParallelForCapped(num_partitions, width, /*grain=*/1,
                               [&](size_t p) {
         // Per-partition merge spans live on synthetic partition lanes,
         // so reducer-side skew shows up as lane-length imbalance.
@@ -395,7 +359,7 @@ class LocalRunner {
     // Per-group output end offsets, recorded so the final merge can
     // stitch per-key output slices back into global key order.
     std::vector<std::vector<size_t>> task_group_ends(num_partitions);
-    FailureSlot failure(&exec.job_cancel);
+    FailureSlot failure;
 
     // Shared attempt computation of one reduce partition: the inline
     // body and the worker-process child run exactly this (the child
@@ -404,10 +368,8 @@ class LocalRunner {
     auto compute_partition = [&](size_t p, const CancellationToken& cancel) {
       const MergedPartition<K, V>& part = buffers.partition(p);
       std::unique_ptr<Reducer<K, V, Out>> reducer = reducer_factory();
-      // Fresh output per attempt copy; the merged partition is
-      // read-only so a failed attempt leaves the shuffled input
-      // intact, and racing speculative copies never share output
-      // buffers.
+      // Fresh output per attempt; the merged partition is read-only so
+      // a failed attempt leaves the shuffled input intact.
       std::pair<std::vector<Out>, std::vector<size_t>> result;
       // Group-end offsets: one size_t per group, dwarfed by the
       // charged merged partition the groups point into.
@@ -464,7 +426,7 @@ class LocalRunner {
       ScopedExecutorPhase reduce_phase(
           executor_.get(), job_name, TaskKind::kReduce, num_partitions,
           std::move(reduce_run), std::move(reduce_commit));
-      pool_.ParallelForCapped(num_partitions, ExecWidth(), /*grain=*/1,
+      pool_.ParallelForCapped(num_partitions, width, /*grain=*/1,
                               [&](size_t p) {
         const MergedPartition<K, V>& part = buffers.partition(p);
         if (part.num_groups() == 0) return;
@@ -631,14 +593,13 @@ class LocalRunner {
   /// Attempt/failure/retry totals of one job, accumulated lock-free from
   /// worker threads and copied into JobMetrics when the job finishes.
   /// `failures` counts genuine failures (thrown exception / non-OK
-  /// Status); engine kills (deadline, speculation loser) count in
-  /// `killed` instead so the two causes stay distinguishable, exactly
-  /// like Hadoop's FAILED vs KILLED attempt states.
+  /// Status); deadline kills count in `killed` instead so the two
+  /// causes stay distinguishable, exactly like Hadoop's FAILED vs
+  /// KILLED attempt states.
   struct AttemptAccounting {
     std::atomic<uint64_t> attempts{0};
     std::atomic<uint64_t> failures{0};
     std::atomic<uint64_t> retried{0};
-    std::atomic<uint64_t> speculative{0};
     std::atomic<uint64_t> killed{0};
     std::atomic<uint64_t> deadline_exceeded{0};
   };
@@ -656,15 +617,11 @@ class LocalRunner {
   };
 
   /// Per-job execution state shared by every task of the job: the
-  /// attempt accounting, the completed-duration populations feeding
-  /// speculation, the job-wide cancellation source that wakes
-  /// retry-backoff sleepers the moment the job has already failed, and
-  /// the heartbeat hook (null unless --heartbeat-seconds is set — the
-  /// task paths pay one null test when heartbeat is off).
+  /// attempt accounting and the heartbeat hook (null unless
+  /// --heartbeat-seconds is set — the task paths pay one null test when
+  /// heartbeat is off).
   struct JobExecState {
     AttemptAccounting acct;
-    TaskDurationStats durations[3];  ///< indexed by TaskKind
-    CancellationSource job_cancel;
     HeartbeatState* heartbeat = nullptr;
   };
 
@@ -720,23 +677,15 @@ class LocalRunner {
 
   /// First-error-wins slot shared by the tasks of one phase: the first
   /// task to exhaust its attempts parks its Status here and later tasks
-  /// short-circuit via has_failed(). Setting the slot also cancels the
-  /// job's cancellation source (when wired), so workers sleeping in
-  /// retry backoff wake immediately instead of delaying the failure.
+  /// short-circuit via has_failed().
   class FailureSlot {
    public:
-    FailureSlot() = default;
-    explicit FailureSlot(CancellationSource* wake) : wake_(wake) {}
-
     void Set(Status status) {
-      {
-        MutexLock lock(mu_);
-        if (!failed_.load(std::memory_order_relaxed)) {
-          status_ = std::move(status);
-          failed_.store(true, std::memory_order_release);
-        }
+      MutexLock lock(mu_);
+      if (!failed_.load(std::memory_order_relaxed)) {
+        status_ = std::move(status);
+        failed_.store(true, std::memory_order_release);
       }
-      if (wake_ != nullptr) wake_->Cancel();
     }
     bool has_failed() const {
       return failed_.load(std::memory_order_acquire);
@@ -747,53 +696,32 @@ class LocalRunner {
     }
 
    private:
-    /// Leaf lock (Cancel() is called after it is released, so the
-    /// cancellation mutex is never nested under it).
+    /// Leaf lock: nothing is acquired while it is held.
     Mutex mu_{"FailureSlot::mu_"};
     Status status_ P3C_GUARDED_BY(mu_);
     /// Atomic (not guarded): has_failed() is the workers' per-task
     /// short-circuit poll and must stay lock-free.
     std::atomic<bool> failed_{false};
-    CancellationSource* wake_ = nullptr;
   };
 
-  /// Kill flags of one attempt copy. The watchdog (deadline) or the
-  /// rival copy (speculation) sets the flag explaining WHY before
-  /// cancelling, so the resolution can classify a cancelled copy.
-  struct CopyControl {
+  /// Kill flag of one attempt. The watchdog sets `deadline_killed`
+  /// before cancelling, so the resolution can tell a deadline kill from
+  /// any other cancellation.
+  struct AttemptControl {
     CancellationSource cancel;
     std::atomic<bool> deadline_killed{false};
-    std::atomic<bool> loser_killed{false};
   };
 
-  /// How one attempt copy ended: its status, and whether it ended by
+  /// How one attempt ended: its status, and whether it ended by
   /// cooperative cancellation (CancelledError) rather than on its own.
-  struct CopyOutcome {
+  struct AttemptOutcome {
     Status status;
     bool cancelled = false;
   };
 
-  /// Rendezvous between the primary copy (inline on the pool worker)
-  /// and the speculative copy (dedicated thread, launched by the
-  /// watchdog). Guarded by `mu`; the worker always joins `spec_thread`
-  /// before the attempt resolves, so copy-local state outlives both
-  /// copies.
-  /// Lock order: the watchdog's launch closure takes `mu` while
-  /// holding TaskWatchdog::mu_, so `mu` sits below the watchdog lock;
-  /// nothing is acquired while `mu` is held.
-  struct AttemptRace {
-    Mutex mu{"AttemptRace::mu"};
-    CondVar cv;
-    bool spec_launched P3C_GUARDED_BY(mu) = false;
-    bool spec_done P3C_GUARDED_BY(mu) = false;
-    CopyOutcome spec_outcome P3C_GUARDED_BY(mu);
-    std::thread spec_thread P3C_GUARDED_BY(mu);
-    std::shared_ptr<CopyControl> spec_ctl P3C_GUARDED_BY(mu);
-  };
-
-  // TaskContext and TaskBody (the per-copy view and the in-memory body
-  // form) live in executor.h since the backend split — they are the
-  // currency both backends trade in.
+  // TaskContext and TaskBody (the per-attempt view and the in-memory
+  // body form) live in executor.h since the backend split — they are
+  // the currency both backends trade in.
 
   /// Auto split policy (SplitSize): ~32 map tasks per job, never tiny.
   static constexpr size_t kDefaultTargetSplits = 32;
@@ -817,21 +745,6 @@ class LocalRunner {
     return std::max<size_t>(kMinSplitRecords, per_split);
   }
 
-  /// Claimant cap for the task phases (map/reduce): the attempts are
-  /// CPU-bound, so claimants beyond the machine's core count add context
-  /// switches without adding throughput — `--threads 8` on a 1-core box
-  /// must not run slower than `--threads 1`. The straggler machinery is
-  /// the deliberate exception: deadline kills and speculative copies
-  /// assume a victim can sit on a lane while its replacement proceeds,
-  /// so those configurations keep the full (oversubscribed) pool.
-  size_t ExecWidth() const {
-    if (options_.speculative_execution ||
-        options_.task_deadline_seconds > 0) {
-      return 0;  // uncapped
-    }
-    return ThreadPool::HardwareConcurrency();
-  }
-
   /// Effective reduce-partition count: per-job override, then
   /// RunnerOptions::num_reducers, then one partition per worker.
   size_t ResolveNumReducers(size_t job_override) const {
@@ -840,59 +753,29 @@ class LocalRunner {
     return pool_.num_threads();
   }
 
-  /// Deterministic exponential backoff before retry number `retry`
-  /// (1-based): min(base * 2^(retry-1), max). No jitter — retry timing
-  /// must not introduce nondeterminism into tests. The sleep waits on
-  /// the job's cancellation token, so a job that has already failed
-  /// (FailureSlot::Set) wakes its sleeping workers immediately instead
-  /// of holding a pool thread hostage for the full backoff.
-  void SleepBackoff(size_t retry, const CancellationToken& wake) const {
-    double seconds = options_.retry_backoff_seconds;
-    if (seconds <= 0.0) return;
-    for (size_t r = 1; r < retry; ++r) seconds *= 2.0;
-    seconds = std::min(seconds, options_.retry_backoff_max_seconds);
-    if (seconds > 0.0) wake.WaitFor(seconds);
-  }
-
-  bool StragglerControlEnabled() const {
-    return options_.task_deadline_seconds > 0.0 ||
-           options_.speculative_execution;
-  }
-
   /// Runs one task as up to `max_attempts` attempts of `body`. Each
   /// attempt first consults the fault injector, then runs the body;
   /// exceptions from either are converted to Status so a crashing task
   /// is indistinguishable from a cleanly failing one. The body must
   /// publish side effects only through TaskContext::Commit on its
   /// success path (attempt isolation is the body's contract; the loop
-  /// supplies the retry policy, the watchdog supplies deadlines and
-  /// speculation).
+  /// supplies the retry policy, the watchdog supplies deadlines).
   ///
-  /// Tracing: each attempt copy is its own span on `lane` (0 = the
-  /// executing thread's lane; reduce tasks pass their partition lane),
-  /// a retry is stitched to the attempt it replaces with a "task-retry"
-  /// flow arrow, and a speculative copy is stitched to its launch
-  /// decision with a "speculative-copy" flow arrow.
+  /// Tracing: each attempt is its own span on `lane` (0 = the executing
+  /// thread's lane; reduce tasks pass their partition lane), and a
+  /// retry is stitched to the attempt it replaces with a "task-retry"
+  /// flow arrow.
   Status ExecuteTask(const std::string& job_name, TaskKind kind, size_t task,
                      JobExecState& exec, const TaskBody& body,
                      uint32_t lane = 0) {
     const size_t max_attempts = std::max<size_t>(1, options_.max_attempts);
-    const CancellationToken job_token = exec.job_cancel.token();
     std::atomic<bool> commit_slot{false};
     Status last;
     uint64_t pending_flow = 0;
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-      if (attempt > 0) SleepBackoff(attempt, job_token);
-      Stopwatch attempt_watch;
-      Status st = RunAttemptRace(job_name, kind, task, attempt, exec, body,
-                                 lane, commit_slot, pending_flow);
-      if (st.ok()) {
-        if (options_.speculative_execution) {
-          exec.durations[static_cast<size_t>(kind)].Add(
-              attempt_watch.ElapsedSeconds());
-        }
-        return st;
-      }
+      Status st = RunAttempt(job_name, kind, task, attempt, exec, body, lane,
+                             commit_slot, pending_flow);
+      if (st.ok()) return st;
       if (attempt == 0 && max_attempts > 1) {
         exec.acct.retried.fetch_add(1, std::memory_order_relaxed);
       }
@@ -905,97 +788,49 @@ class LocalRunner {
                      last.message().c_str()));
   }
 
-  /// One attempt of one task, run as a race between the primary copy
-  /// (inline, on the calling pool worker) and at most one speculative
-  /// copy (dedicated thread, launched by the watchdog when the primary
-  /// looks like a straggler). The attempt succeeds when EITHER copy
-  /// succeeds; the commit slot guarantees exactly one of them
-  /// published. The loser is cancelled and counted as killed, never as
-  /// failed. Always joins the speculative thread before returning, so
-  /// attempt-local state (the body's captures, the race object) is
-  /// never touched after the attempt resolves.
-  Status RunAttemptRace(const std::string& job_name, TaskKind kind,
-                        size_t task, size_t attempt, JobExecState& exec,
-                        const TaskBody& body, uint32_t lane,
-                        std::atomic<bool>& commit_slot,
-                        uint64_t& pending_flow) {
-    auto primary_ctl = std::make_shared<CopyControl>();
-    auto race = std::make_shared<AttemptRace>();
-    Tracer& tracer = Tracer::Global();
-    TaskWatchdog* watchdog =
-        StragglerControlEnabled() ? &watchdog_ : nullptr;
+  /// One attempt of one task, inline on the calling pool worker. With a
+  /// task deadline armed, the attempt is registered with the watchdog
+  /// for its whole run (the kill closure co-owns the AttemptControl). A
+  /// cancelled attempt is counted as killed, never as failed.
+  Status RunAttempt(const std::string& job_name, TaskKind kind, size_t task,
+                    size_t attempt, JobExecState& exec, const TaskBody& body,
+                    uint32_t lane, std::atomic<bool>& commit_slot,
+                    uint64_t& pending_flow) {
+    auto ctl = std::make_shared<AttemptControl>();
     uint64_t entry_id = 0;
-    if (watchdog != nullptr) {
+    if (options_.task_deadline_seconds > 0.0) {
       TaskWatchdog::Entry entry;
       entry.deadline_seconds = options_.task_deadline_seconds;
-      entry.kill = MakeKillClosure(primary_ctl, job_name, kind, task, attempt,
-                                   /*speculative=*/false, lane);
-      if (options_.speculative_execution) {
-        entry.stats = &exec.durations[static_cast<size_t>(kind)];
-        entry.slowness_factor = options_.speculative_slowness_factor;
-        entry.min_samples = options_.speculative_min_samples;
-        entry.min_runtime_seconds = options_.speculative_min_runtime_seconds;
-        entry.max_concurrent = std::max<size_t>(
-            1, options_.max_concurrent_speculative);
-        // Runs on the watchdog thread, under the watchdog mutex. Spawns
-        // the speculative copy on its own thread — NEVER on the pool,
-        // where it could queue behind the very straggler it bypasses.
-        entry.launch = [this, race, primary_ctl, &job_name, kind, task,
-                        attempt, &exec, &body, lane, &commit_slot,
-                        watchdog] {
-          LaunchSpeculativeCopy(race, primary_ctl, job_name, kind, task,
-                                attempt, exec, body, lane, commit_slot,
-                                watchdog);
-        };
-      }
-      entry_id = watchdog->Register(std::move(entry));
+      entry.kill = MakeKillClosure(ctl, job_name, kind, task, attempt, lane);
+      entry_id = watchdog_.Register(std::move(entry));
     }
+    const AttemptOutcome out = RunAttemptBody(
+        job_name, kind, task, attempt, *ctl, exec, body, lane, commit_slot,
+        pending_flow);
+    if (entry_id != 0) watchdog_.Deregister(entry_id);
 
-    CopyOutcome primary =
-        RunAttemptCopy(job_name, kind, task, attempt, /*speculative=*/false,
-                       primary_ctl, exec, body, lane, commit_slot,
-                       &pending_flow, /*spec_flow=*/0);
-    if (watchdog != nullptr) watchdog->Deregister(entry_id);
-
-    // Resolve the race. Deregister happened first, so spec_launched is
-    // stable: no new launch can occur, and any launch that did occur
-    // has fully stored the thread handle (both run under the watchdog
-    // mutex).
-    bool spec_launched = false;
-    CopyOutcome spec;
-    std::shared_ptr<CopyControl> spec_ctl;
-    std::thread spec_thread;
-    {
-      MutexLock lock(race->mu);
-      spec_launched = race->spec_launched;
-      if (spec_launched) {
-        spec_ctl = race->spec_ctl;
-        if (primary.status.ok() && !race->spec_done) {
-          // Primary won; the speculative copy is the loser.
-          spec_ctl->loser_killed.store(true, std::memory_order_relaxed);
-          spec_ctl->cancel.Cancel();
-        }
-        race->cv.Wait(race->mu,
-                      [&race]() P3C_REQUIRES(race->mu) {
-                        return race->spec_done;
-                      });
-        spec = std::move(race->spec_outcome);
-        spec_thread = std::move(race->spec_thread);
+    // Hadoop FAILED vs KILLED: a cancelled attempt was killed by the
+    // engine, anything else that ended non-OK genuinely failed.
+    if (out.status.ok()) return Status::OK();
+    const bool deadline_killed =
+        out.cancelled && ctl->deadline_killed.load(std::memory_order_relaxed);
+    if (out.cancelled) {
+      exec.acct.killed.fetch_add(1, std::memory_order_relaxed);
+      if (deadline_killed) {
+        exec.acct.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
       }
+    } else {
+      exec.acct.failures.fetch_add(1, std::memory_order_relaxed);
     }
-    if (spec_thread.joinable()) spec_thread.join();
-
-    // Classify both copies for the accounting (Hadoop FAILED vs
-    // KILLED): a cancelled copy was killed by the engine, anything
-    // else that ended non-OK genuinely failed.
-    ClassifyCopy(exec.acct, primary, *primary_ctl);
-    if (spec_launched) ClassifyCopy(exec.acct, spec, *spec_ctl);
-
-    const bool primary_ok = primary.status.ok();
-    const bool spec_ok = spec_launched && spec.status.ok();
-    if (primary_ok || spec_ok) return Status::OK();
-
-    Status st = FailureStatusFor(primary, *primary_ctl);
+    // Deadline kills become kDeadlineExceeded, the retryable "too slow"
+    // failure class.
+    Status st = deadline_killed
+                    ? Status::DeadlineExceeded(StringPrintf(
+                          "attempt exceeded the %.3fs task deadline and was "
+                          "killed by the watchdog",
+                          options_.task_deadline_seconds))
+                    : out.status;
+    Tracer& tracer = Tracer::Global();
     if (tracer.enabled()) {
       tracer.RecordInstant(
           StringPrintf("%s task %zu attempt %zu failed", TaskKindName(kind),
@@ -1012,66 +847,51 @@ class LocalRunner {
     return st;
   }
 
-  /// Executes one copy of one attempt: fault injector, then body, with
-  /// every exception converted to a CopyOutcome. CancelledError is the
-  /// cooperative-cancellation channel and is flagged separately so the
-  /// resolution can tell a killed copy from a failed one.
-  CopyOutcome RunAttemptCopy(const std::string& job_name, TaskKind kind,
-                             size_t task, size_t attempt, bool speculative,
-                             const std::shared_ptr<CopyControl>& ctl,
-                             JobExecState& exec, const TaskBody& body,
-                             uint32_t lane, std::atomic<bool>& commit_slot,
-                             uint64_t* pending_flow, uint64_t spec_flow) {
+  /// Executes the body of one attempt: fault injector, then body, with
+  /// every exception converted to an AttemptOutcome. CancelledError is
+  /// the cooperative-cancellation channel and is flagged separately so
+  /// RunAttempt can tell a killed attempt from a failed one.
+  AttemptOutcome RunAttemptBody(const std::string& job_name, TaskKind kind,
+                                size_t task, size_t attempt,
+                                const AttemptControl& ctl, JobExecState& exec,
+                                const TaskBody& body, uint32_t lane,
+                                std::atomic<bool>& commit_slot,
+                                uint64_t& pending_flow) {
     exec.acct.attempts.fetch_add(1, std::memory_order_relaxed);
-    if (speculative) {
-      exec.acct.speculative.fetch_add(1, std::memory_order_relaxed);
-    }
     if (exec.heartbeat != nullptr) {
       exec.heartbeat->live_attempts.fetch_add(1, std::memory_order_relaxed);
     }
     Tracer& tracer = Tracer::Global();
     const bool tracing = tracer.enabled();
-    // Speculative copies run on their own thread and therefore on
-    // their own trace lane; forcing them onto the primary's lane would
-    // overlap two concurrent spans on one row.
-    const uint32_t copy_lane = speculative ? 0 : lane;
     TraceSpan attempt_span(
-        tracing ? StringPrintf("%s task %zu attempt %zu%s",
-                               TaskKindName(kind), task, attempt,
-                               speculative ? " (speculative)" : "")
+        tracing ? StringPrintf("%s task %zu attempt %zu", TaskKindName(kind),
+                               task, attempt)
                 : std::string(),
         tracing ? StringPrintf("{\"job\": \"%s\"}",
                                JsonEscape(job_name).c_str())
                 : std::string(),
-        copy_lane);
-    if (tracing && pending_flow != nullptr && *pending_flow != 0) {
-      tracer.RecordFlowEnd(*pending_flow, "task-retry", copy_lane);
-      *pending_flow = 0;
-    }
-    if (tracing && spec_flow != 0) {
-      tracer.RecordFlowEnd(spec_flow, "speculative-copy", copy_lane);
+        lane);
+    if (tracing && pending_flow != 0) {
+      tracer.RecordFlowEnd(pending_flow, "task-retry", lane);
+      pending_flow = 0;
     }
     TaskContext ctx;
     ctx.attempt = attempt;
-    ctx.speculative = speculative;
-    ctx.cancel = ctl->cancel.token();
+    ctx.cancel = ctl.cancel.token();
     ctx.commit_slot = &commit_slot;
-    CopyOutcome out;
+    const TaskAttempt id{job_name, kind, task, attempt, ctx.cancel};
+    AttemptOutcome out;
     try {
       Status st;
       if (options_.fault_injector != nullptr) {
-        st = options_.fault_injector->OnAttemptStart(TaskAttempt{
-            job_name, kind, task, attempt, speculative, ctx.cancel});
+        st = options_.fault_injector->OnAttemptStart(id);
       }
       if (st.ok()) {
         // The backend seam: the in-process executor runs `body` inline
         // right here; the process backend ships the task to a worker
         // process (falling back to `body` for task kinds without an
         // installed remote form — combine tasks, degraded pools).
-        st = executor_->RunCopy(
-            TaskAttempt{job_name, kind, task, attempt, speculative,
-                        ctx.cancel},
-            ctx, body);
+        st = executor_->RunCopy(id, ctx, body);
       }
       out.status = std::move(st);
     } catch (const CancelledError&) {
@@ -1089,86 +909,21 @@ class LocalRunner {
     return out;
   }
 
-  /// Launched on the watchdog thread (under the watchdog mutex) when
-  /// the primary copy looks like a straggler. Stores the speculative
-  /// thread handle into the race under its mutex; the primary joins it
-  /// at resolution.
-  void LaunchSpeculativeCopy(const std::shared_ptr<AttemptRace>& race,
-                             const std::shared_ptr<CopyControl>& primary_ctl,
-                             const std::string& job_name, TaskKind kind,
-                             size_t task, size_t attempt, JobExecState& exec,
-                             const TaskBody& body, uint32_t lane,
-                             std::atomic<bool>& commit_slot,
-                             TaskWatchdog* watchdog) {
-    MutexLock lock(race->mu);
-    if (race->spec_launched) return;
-    race->spec_launched = true;
-    race->spec_ctl = std::make_shared<CopyControl>();
-    std::shared_ptr<CopyControl> spec_ctl = race->spec_ctl;
-    Tracer& tracer = Tracer::Global();
-    uint64_t flow = 0;
-    if (tracer.enabled()) {
-      flow = tracer.NextFlowId();
-      tracer.RecordInstant(
-          StringPrintf("speculating %s task %zu attempt %zu",
-                       TaskKindName(kind), task, attempt),
-          StringPrintf("{\"job\": \"%s\"}", JsonEscape(job_name).c_str()),
-          lane);
-      tracer.RecordFlowStart(flow, "speculative-copy", lane);
-    }
-    race->spec_thread = std::thread([this, race, primary_ctl, spec_ctl,
-                                     &job_name, kind, task, attempt, &exec,
-                                     &body, lane, &commit_slot, watchdog,
-                                     flow] {
-      // The speculative copy gets its own deadline entry — a hung
-      // speculative copy must be killable too.
-      uint64_t spec_entry = 0;
-      if (options_.task_deadline_seconds > 0.0) {
-        TaskWatchdog::Entry entry;
-        entry.deadline_seconds = options_.task_deadline_seconds;
-        entry.kill = MakeKillClosure(spec_ctl, job_name, kind, task, attempt,
-                                     /*speculative=*/true, /*lane=*/0);
-        spec_entry = watchdog->Register(std::move(entry));
-      }
-      CopyOutcome out = RunAttemptCopy(job_name, kind, task, attempt,
-                                       /*speculative=*/true, spec_ctl, exec,
-                                       body, lane, commit_slot,
-                                       /*pending_flow=*/nullptr, flow);
-      if (spec_entry != 0) watchdog->Deregister(spec_entry);
-      if (out.status.ok()) {
-        // Speculative winner: cancel the straggling primary so the
-        // pool worker unblocks. If the primary already finished, the
-        // flags are set but never observed — harmless.
-        primary_ctl->loser_killed.store(true, std::memory_order_relaxed);
-        primary_ctl->cancel.Cancel();
-      }
-      {
-        MutexLock inner(race->mu);
-        race->spec_outcome = std::move(out);
-        race->spec_done = true;
-      }
-      race->cv.NotifyAll();
-      watchdog->OnSpeculativeFinished();
-    });
-  }
-
-  /// Kill closure for the watchdog: flags the copy as deadline-killed,
-  /// cancels it, and drops a trace instant at the kill decision.
+  /// Kill closure for the watchdog: flags the attempt as deadline-
+  /// killed, cancels it, and drops a trace instant at the kill decision.
   std::function<void()> MakeKillClosure(
-      const std::shared_ptr<CopyControl>& ctl, std::string job_name,
-      TaskKind kind, size_t task, size_t attempt, bool speculative,
-      uint32_t lane) const {
+      const std::shared_ptr<AttemptControl>& ctl, std::string job_name,
+      TaskKind kind, size_t task, size_t attempt, uint32_t lane) const {
     const double deadline = options_.task_deadline_seconds;
-    return [ctl, job_name = std::move(job_name), kind, task, attempt,
-            speculative, lane, deadline] {
+    return [ctl, job_name = std::move(job_name), kind, task, attempt, lane,
+            deadline] {
       ctl->deadline_killed.store(true, std::memory_order_relaxed);
       ctl->cancel.Cancel();
       Tracer& tracer = Tracer::Global();
       if (tracer.enabled()) {
         tracer.RecordInstant(
-            StringPrintf("deadline-kill %s task %zu attempt %zu%s",
-                         TaskKindName(kind), task, attempt,
-                         speculative ? " (speculative)" : ""),
+            StringPrintf("deadline-kill %s task %zu attempt %zu",
+                         TaskKindName(kind), task, attempt),
             StringPrintf("{\"job\": \"%s\", \"deadline_seconds\": %.3f}",
                          JsonEscape(job_name).c_str(), deadline),
             lane);
@@ -1176,42 +931,11 @@ class LocalRunner {
     };
   }
 
-  static void ClassifyCopy(AttemptAccounting& acct, const CopyOutcome& out,
-                           const CopyControl& ctl) {
-    if (!out.cancelled) {
-      if (!out.status.ok()) {
-        acct.failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      return;
-    }
-    acct.killed.fetch_add(1, std::memory_order_relaxed);
-    if (ctl.deadline_killed.load(std::memory_order_relaxed)) {
-      acct.deadline_exceeded.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// Failure status of a resolved attempt whose copies all failed,
-  /// converting engine kills into kDeadlineExceeded (the retryable
-  /// "too slow" failure class).
-  Status FailureStatusFor(const CopyOutcome& primary,
-                          const CopyControl& ctl) const {
-    if (primary.cancelled &&
-        ctl.deadline_killed.load(std::memory_order_relaxed)) {
-      return Status::DeadlineExceeded(
-          StringPrintf("attempt exceeded the %.3fs task deadline and was "
-                       "killed by the watchdog",
-                       options_.task_deadline_seconds));
-    }
-    return primary.status;
-  }
-
   static void StampAccounting(JobMetrics& metrics,
                               const AttemptAccounting& acct, bool succeeded) {
     metrics.task_attempts = acct.attempts.load(std::memory_order_relaxed);
     metrics.task_failures = acct.failures.load(std::memory_order_relaxed);
     metrics.retried_tasks = acct.retried.load(std::memory_order_relaxed);
-    metrics.speculative_attempts =
-        acct.speculative.load(std::memory_order_relaxed);
     metrics.killed_attempts = acct.killed.load(std::memory_order_relaxed);
     metrics.deadline_exceeded =
         acct.deadline_exceeded.load(std::memory_order_relaxed);
@@ -1316,12 +1040,7 @@ class LocalRunner {
 
     std::vector<VectorEmitter<Record, K, V>> emitters(num_splits);
     std::atomic<uint64_t> map_output_records{0};
-    FailureSlot failure(&exec.job_cancel);
-    // Speculative copies race on the SAME task state; combine attempts
-    // must then work on an isolated copy of the map output instead of
-    // sorting it in place (retries alone never overlap, so the copy is
-    // skipped when speculation is off).
-    const bool isolate_combine = options_.speculative_execution;
+    FailureSlot failure;
 
     // Shared attempt computation: the inline body and the worker-
     // process child run exactly this, so the two backends cannot
@@ -1331,9 +1050,9 @@ class LocalRunner {
       const size_t begin = s * per_split;
       const size_t end = std::min(n, begin + per_split);
       std::span<const Record> split = input.subspan(begin, end - begin);
-      // Fresh emitter per attempt copy: records, counters, and byte
+      // Fresh emitter per attempt: records, counters, and byte
       // accounting of a failed attempt are discarded wholesale; only
-      // the winning copy's output is committed to the split slot.
+      // the succeeding attempt's output is committed to the split slot.
       VectorEmitter<Record, K, V> out;
       out.set_cancel(cancel);
       out.Reserve(split.size());
@@ -1349,11 +1068,11 @@ class LocalRunner {
       mapper->Cleanup(out);
       if (resource::MemoryTracker::Global().enabled()) {
         // Deterministic task-footprint gauge: serialized emit bytes,
-        // identical for every attempt copy of this task (and for a
-        // worker child, whose tracker enabled flag is inherited at
-        // fork). It rides the attempt-local counters, so failed
-        // attempts drop it with the attempt and the job-level merge
-        // (gauge = max) is exactly-once under retry and speculation.
+        // identical for every attempt of this task (and for a worker
+        // child, whose tracker enabled flag is inherited at fork). It
+        // rides the attempt-local counters, so failed attempts drop it
+        // with the attempt and the job-level merge (gauge = max) is
+        // exactly-once under retry.
         out.counters_.SetGauge("mem.task.peak_bytes",
                                static_cast<double>(out.bytes_));
       }
@@ -1398,8 +1117,14 @@ class LocalRunner {
                                   num_splits, std::move(map_run),
                                   std::move(map_commit));
 
-    pool_.ParallelForCapped(num_splits, ExecWidth(), /*grain=*/0,
-                            [&](size_t s) {
+    // Every parallel loop of the engine is capped at the machine's core
+    // count: the bodies are CPU-bound, so claimants beyond it add
+    // context switches without adding throughput — `--threads 8` on a
+    // 1-core box must not run slower than `--threads 1`. A deadline-
+    // killed attempt is retried on its own lane after it returns, so
+    // straggler control needs no extra claimants either.
+    pool_.ParallelForCapped(num_splits, ThreadPool::HardwareConcurrency(),
+                            /*grain=*/0, [&](size_t s) {
       if (failure.has_failed()) return;
       Status st = ExecuteTask(
           job_name, TaskKind::kMap, s, exec, [&](const TaskContext& ctx) {
@@ -1411,18 +1136,10 @@ class LocalRunner {
         // The combiner is its own attempt (Hadoop re-runs it with the
         // map attempt; isolating it here means a crashing combiner
         // retries against the intact, already-committed map output).
-        // Under speculation the input is snapshotted ONCE, before the
-        // attempt race starts: a racing copy must never read the
-        // emitter the winning copy's commit mutates.
-        std::vector<std::pair<K, V>> combine_snapshot;
-        if (isolate_combine) combine_snapshot = emitters[s].pairs_;
-        const std::vector<std::pair<K, V>>& combine_input =
-            isolate_combine ? combine_snapshot : emitters[s].pairs_;
         st = ExecuteTask(job_name, TaskKind::kCombine, s, exec,
                          [&](const TaskContext& ctx) {
                            return CombineAttempt(combiner_factory,
-                                                 combine_input, emitters[s],
-                                                 ctx, isolate_combine);
+                                                 emitters[s], ctx);
                          });
       }
       if (st.ok()) {
@@ -1455,30 +1172,20 @@ class LocalRunner {
 
   /// One combine attempt over one map task's committed output: groups by
   /// key and collapses each group with a fresh combiner instance. The
-  /// emitter is only mutated inside TaskContext::Commit, after the
-  /// combiner has processed every group, so a failed (or losing
-  /// speculative) attempt leaves the map output intact. With
-  /// speculation off the in-place key sort is safe (attempts of one
-  /// task never overlap) and idempotent across retries; with
-  /// speculation on, racing copies each sort a private copy of the
-  /// pairs (`isolate`). The byte accounting is redone so shuffle_bytes
-  /// reflects the post-combine volume. This is the one shuffle path
-  /// that still copies values: the emitter's pairs are not
-  /// value-contiguous, so a span over them does not exist.
+  /// emitter's pairs are only replaced inside TaskContext::Commit, after
+  /// the combiner has processed every group, so a failed attempt leaves
+  /// the map output intact. The in-place key sort is safe (attempts of
+  /// one task never overlap) and idempotent across retries. The byte
+  /// accounting is redone so shuffle_bytes reflects the post-combine
+  /// volume. This is the one shuffle path that still copies values: the
+  /// emitter's pairs are not value-contiguous, so a span over them does
+  /// not exist.
   template <typename Record, typename K, typename V>
   static Status CombineAttempt(
       const std::function<std::unique_ptr<Combiner<K, V>>()>&
           combiner_factory,
-      const std::vector<std::pair<K, V>>& input,
-      VectorEmitter<Record, K, V>& out, const TaskContext& ctx,
-      bool isolate) {
-    // Isolated (speculation) mode: `input` is an immutable per-task
-    // snapshot shared by the racing copies; each copy sorts a private
-    // copy of it. In-place mode: `input` IS out.pairs_, and the sort
-    // mutates it directly (idempotent across non-overlapping retries).
-    std::vector<std::pair<K, V>> local;
-    if (isolate) local = input;
-    auto& pairs = isolate ? local : out.pairs_;
+      VectorEmitter<Record, K, V>& out, const TaskContext& ctx) {
+    auto& pairs = out.pairs_;
     std::stable_sort(
         pairs.begin(), pairs.end(),
         [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -1513,12 +1220,12 @@ class LocalRunner {
 
   RunnerOptions options_;
   ThreadPool pool_;
-  /// Deadline/speculation monitor; its thread starts lazily on the
-  /// first registered attempt, so runners with straggler control
-  /// disabled never create it. Destroyed (and joined) after the
+  /// Deadline and heartbeat monitor; its thread starts lazily on the
+  /// first registered attempt or sampler, so runners with neither
+  /// enabled never create it. Destroyed (and joined) after the
   /// executor, while the pool and options are still alive.
   TaskWatchdog watchdog_;
-  /// Pluggable task-execution backend (executor.h); every attempt copy
+  /// Pluggable task-execution backend (executor.h); every attempt
   /// funnels through executor_->RunCopy. Declared last so a process
   /// backend's worker pool is torn down before anything it observes.
   std::unique_ptr<TaskExecutor> executor_;

@@ -531,9 +531,9 @@ struct WorkerPoolExecutor::Impl {
       }
 
       if (ctx.cancel.cancelled()) {
-        // Deadline kill, speculation loser-kill, or job failure: the
-        // worker may be mid-task with nobody left to read its result —
-        // kill it; the slot respawns on its next lease.
+        // Deadline kill: the worker may be mid-task with nobody left
+        // to read its result — kill it; the slot respawns on its next
+        // lease.
         ReapSlot(*slot, SIGKILL);
         TraceWorker(*slot, "worker killed (attempt cancelled)");
         ReleaseSlot(*slot);

@@ -59,7 +59,7 @@ struct WorkerBackendOptions {
 
 /// TaskExecutor running the installed phase's tasks in forked worker
 /// processes. Thread-safe for concurrent RunCopy calls (pool workers
-/// and speculative-copy threads lease workers under a mutex);
+/// lease workers under a mutex);
 /// BeginPhase/EndPhase run on the job thread between parallel loops.
 class WorkerPoolExecutor final : public TaskExecutor {
  public:

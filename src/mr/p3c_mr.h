@@ -26,8 +26,6 @@ namespace p3c::mr {
 struct JobRetryPolicy {
   /// Total runs of one job, including the first (1 = no job-level retry).
   size_t max_job_attempts = 2;
-  /// Fixed sleep between job attempts; 0 disables sleeping.
-  double backoff_seconds = 0.0;
   /// Wall-clock budget per pipeline phase (0 disables): once a phase
   /// has spent this long across its job attempts, the driver stops
   /// retrying and fails the pipeline with a phase-tagged

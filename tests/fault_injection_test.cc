@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -88,9 +87,8 @@ struct RunOutcome {
   MetricsRegistry metrics;
 };
 
-RunOutcome RunKeyedSum(
-    FaultInjector* injector, size_t max_attempts, bool with_combiner = false,
-    const std::function<void(RunnerOptions&)>& tweak = {}) {
+RunOutcome RunKeyedSum(FaultInjector* injector, size_t max_attempts,
+                       bool with_combiner = false) {
   RunOutcome outcome;
   RunnerOptions options;
   options.num_threads = 4;
@@ -100,7 +98,6 @@ RunOutcome RunKeyedSum(
   options.fault_injector = injector;
   options.metrics = &outcome.metrics;
   options.counters = &outcome.counters;
-  if (tweak) tweak(options);
   LocalRunner runner(options);
   const auto records = MakeRecords(1000);
   const auto mapper = [] { return std::make_unique<KeyedSumMapper>(); };
@@ -197,45 +194,6 @@ TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderRetry) {
   EXPECT_EQ(*flaky.result, *clean.result);
   EXPECT_EQ(flaky.counters.GetGauge("mem.task.peak_bytes"), clean_peak);
   EXPECT_EQ(flaky.counters.values(), clean.counters.values());
-}
-
-TEST(FaultInjectionTest, TaskPeakGaugeIsExactlyOnceUnderSpeculation) {
-  ScopedMemoryTracking tracking;
-  const RunOutcome clean = RunKeyedSum(nullptr, 4);
-  ASSERT_TRUE(clean.result.ok());
-
-  // A pure straggler: the primary copy of map task 7 sleeps 30 s (with
-  // an OK status — slow but correct), so the speculative duplicate must
-  // rescue the job (straggler_test idiom).
-  ScriptedFaultInjector injector;
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "keyed-sum";
-  rule.kind = TaskKind::kMap;
-  rule.task_index = 7;
-  rule.attempt = 0;
-  rule.speculative = false;
-  rule.delay_seconds = 30.0;
-  rule.status = Status::OK();
-  injector.AddRule(std::move(rule));
-
-  const RunOutcome spec =
-      RunKeyedSum(&injector, 4, /*with_combiner=*/false, [](RunnerOptions& o) {
-        o.speculative_execution = true;
-        o.speculative_slowness_factor = 1.5;
-        o.speculative_min_samples = 3;
-        o.speculative_min_runtime_seconds = 0.01;
-      });
-  ASSERT_TRUE(spec.result.ok()) << spec.result.status().ToString();
-  ASSERT_EQ(spec.metrics.num_jobs(), 1u);
-  EXPECT_GE(spec.metrics.jobs().front().speculative_attempts, 1u);
-
-  // Both copies of the duplicated task compute the same bytes and only
-  // the winner's counters merge, so the job gauge neither doubles nor
-  // drifts: byte-identical to the speculation-free run.
-  EXPECT_EQ(*spec.result, *clean.result);
-  EXPECT_EQ(spec.counters.GetGauge("mem.task.peak_bytes"),
-            clean.counters.GetGauge("mem.task.peak_bytes"));
-  EXPECT_EQ(spec.counters.values(), clean.counters.values());
 }
 
 TEST(FaultInjectionTest, CrashingTasksAreCaughtAndRetried) {

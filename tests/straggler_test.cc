@@ -1,20 +1,19 @@
-// Straggler-control tests (DESIGN.md §11): cooperative cancellation,
-// task deadlines with watchdog kills, and speculative re-execution.
+// Straggler-control tests (DESIGN.md §11): cooperative cancellation and
+// task deadlines with watchdog kills.
 //
-// The two acceptance scenarios of the straggler layer live here:
-//   - a permanently hung map task completes the job via deadline-kill +
-//     retry, with no test-harness timeout;
-//   - a job with speculation enabled on a delay-injected straggler
-//     produces output byte-identical to the same job with speculation
-//     disabled (whichever attempt copy wins the race).
+// The acceptance scenario of the straggler layer lives here: a
+// permanently hung map task completes the job via deadline-kill +
+// retry, with no test-harness timeout, and output byte-identical to a
+// clean run.
 // This suite builds as its own binary (p3c_straggler_tests) under the
 // straggler-smoke ctest label so tools/run_sanitizers.sh can run it in
-// isolation under ASan/UBSan and — the real reviewer of the attempt
-// race — TSan.
+// isolation under ASan/UBSan and — the real reviewer of the watchdog
+// killing an attempt on another thread — TSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -86,29 +85,85 @@ TEST(CancellationTest, WaitForWakesEarlyOnCancel) {
   EXPECT_LT(watch.ElapsedSeconds(), 10.0);
 }
 
-// ---- Straggler-detection statistics ----------------------------------
+// ---- The watchdog (unit level) ---------------------------------------
 
-TEST(TaskDurationStatsTest, MedianWithheldBelowMinSamples) {
-  TaskDurationStats stats;
-  EXPECT_LT(stats.Median(3), 0.0);
-  stats.Add(0.010);
-  stats.Add(0.012);
-  EXPECT_EQ(stats.count(), 2u);
-  EXPECT_LT(stats.Median(3), 0.0);
-  stats.Add(0.011);
-  EXPECT_GE(stats.Median(3), 0.0);
-  EXPECT_DOUBLE_EQ(stats.Median(3), 0.011);
+// Polls `done` for up to 10 s; the bound only keeps a broken watchdog
+// from wedging the suite.
+template <typename Pred>
+bool WaitUntilTrue(Pred done) {
+  Stopwatch watch;
+  while (!done()) {
+    if (watch.ElapsedSeconds() > 10.0) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
-TEST(TaskDurationStatsTest, MedianIsRobustToStragglerSamples) {
-  TaskDurationStats stats;
-  stats.Add(0.010);
-  stats.Add(0.010);
-  stats.Add(0.010);
-  // The straggler itself must not drag the baseline up — that is the
-  // reason the watchdog uses the median rather than the mean.
-  stats.Add(100.0);
-  EXPECT_DOUBLE_EQ(stats.Median(3), 0.010);
+TaskWatchdog::Entry CountingEntry(double deadline_seconds,
+                                  std::atomic<int>* kills) {
+  TaskWatchdog::Entry entry;
+  entry.deadline_seconds = deadline_seconds;
+  entry.kill = [kills] { kills->fetch_add(1, std::memory_order_relaxed); };
+  return entry;
+}
+
+TEST(TaskWatchdogTest, KillFiresExactlyOnceAfterTheDeadline) {
+  TaskWatchdog watchdog;
+  std::atomic<int> kills{0};
+  Stopwatch watch;
+  const uint64_t id = watchdog.Register(CountingEntry(0.05, &kills));
+  ASSERT_TRUE(WaitUntilTrue(
+      [&] { return kills.load(std::memory_order_relaxed) > 0; }));
+  EXPECT_GE(watch.ElapsedSeconds(), 0.05);
+  // The entry stays registered past its deadline (the killed attempt
+  // has not returned yet); later watchdog passes must not kill again.
+  // A second entry's kill proves such a pass ran.
+  std::atomic<int> later_kills{0};
+  const uint64_t later = watchdog.Register(CountingEntry(0.02, &later_kills));
+  ASSERT_TRUE(WaitUntilTrue(
+      [&] { return later_kills.load(std::memory_order_relaxed) > 0; }));
+  EXPECT_EQ(kills.load(std::memory_order_relaxed), 1);
+  watchdog.Deregister(later);
+  watchdog.Deregister(id);
+}
+
+TEST(TaskWatchdogTest, DeregisteredEntryIsNeverKilled) {
+  TaskWatchdog watchdog;
+  std::atomic<int> kills{0};
+  const uint64_t id = watchdog.Register(CountingEntry(0.3, &kills));
+  watchdog.Deregister(id);
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  EXPECT_EQ(kills.load(std::memory_order_relaxed), 0);
+}
+
+TEST(TaskWatchdogTest, ZeroDeadlineDisablesTheKill) {
+  TaskWatchdog watchdog;
+  std::atomic<int> unarmed_kills{0};
+  std::atomic<int> armed_kills{0};
+  const uint64_t unarmed =
+      watchdog.Register(CountingEntry(0.0, &unarmed_kills));
+  const uint64_t armed = watchdog.Register(CountingEntry(0.02, &armed_kills));
+  // The armed entry's kill proves a watchdog pass ran over both.
+  ASSERT_TRUE(WaitUntilTrue(
+      [&] { return armed_kills.load(std::memory_order_relaxed) > 0; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(unarmed_kills.load(std::memory_order_relaxed), 0);
+  watchdog.Deregister(armed);
+  watchdog.Deregister(unarmed);
+}
+
+TEST(TaskWatchdogTest, SamplerTicksUntilStopped) {
+  TaskWatchdog watchdog;
+  std::atomic<int> ticks{0};
+  watchdog.StartSampler(
+      0.005, [&ticks] { ticks.fetch_add(1, std::memory_order_relaxed); });
+  ASSERT_TRUE(WaitUntilTrue(
+      [&] { return ticks.load(std::memory_order_relaxed) >= 3; }));
+  watchdog.StopSampler();
+  // StopSampler's contract: on return the sampler never runs again.
+  const int stopped_at = ticks.load(std::memory_order_relaxed);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(ticks.load(std::memory_order_relaxed), stopped_at);
 }
 
 // ---- Injected delays and hangs (unit level) --------------------------
@@ -125,7 +180,7 @@ TEST(StragglerInjectionTest, DelayRuleIsSlowButSucceeds) {
   EXPECT_TRUE(st.ok());
   EXPECT_GE(watch.ElapsedSeconds(), 0.05);
   EXPECT_EQ(injector.injected_faults(), 1u);
-  // One-shot: the retry (or the speculative copy) is fast.
+  // One-shot: the retry is fast.
   EXPECT_TRUE(
       injector.OnAttemptStart(TaskAttempt{job, TaskKind::kMap, 0, 0}).ok());
 }
@@ -152,22 +207,6 @@ TEST(StragglerInjectionTest, HangRuleBlocksUntilCancelled) {
   source.Cancel();
   hung.join();
   EXPECT_TRUE(cancelled_seen.load());
-}
-
-TEST(StragglerInjectionTest, SpeculativeFilterMatchesOnlyThatCopy) {
-  ScriptedFaultInjector injector;
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "job";
-  rule.speculative = true;
-  injector.AddRule(std::move(rule));
-  const std::string job = "job";
-  // The primary copy of the attempt sails through...
-  TaskAttempt primary{job, TaskKind::kMap, 0, 0};
-  EXPECT_TRUE(injector.OnAttemptStart(primary).ok());
-  // ...only the duplicate speculative copy trips the rule.
-  TaskAttempt spec{job, TaskKind::kMap, 0, 0};
-  spec.speculative = true;
-  EXPECT_FALSE(injector.OnAttemptStart(spec).ok());
 }
 
 TEST(StragglerInjectionTest, DeadlineExceededIsRetryableAtJobLevel) {
@@ -225,7 +264,6 @@ std::vector<KeyedRecord> MakeRecords(size_t n) {
 struct StragglerConfig {
   size_t threads = 4;
   double task_deadline_seconds = 0.0;
-  bool speculative = false;
   bool with_combiner = false;
   size_t max_attempts = 4;
 };
@@ -245,13 +283,6 @@ RunOutcome RunKeyedSum(FaultInjector* injector, const StragglerConfig& cfg) {
   options.num_reducers = 3;
   options.max_attempts = cfg.max_attempts;
   options.task_deadline_seconds = cfg.task_deadline_seconds;
-  options.speculative_execution = cfg.speculative;
-  // Aggressive policy so tests see speculation without waiting: any
-  // attempt 1.5x slower than the median is a straggler, judged after
-  // only 10ms of runtime.
-  options.speculative_slowness_factor = 1.5;
-  options.speculative_min_samples = 3;
-  options.speculative_min_runtime_seconds = 0.01;
   options.fault_injector = injector;
   options.metrics = &outcome.metrics;
   options.counters = &outcome.counters;
@@ -369,103 +400,24 @@ TEST(TaskDeadlineTest, StragglerAccountingIsZeroWhenDisabled) {
   const RunOutcome clean = RunKeyedSum(nullptr, {});
   ASSERT_TRUE(clean.result.ok());
   const JobMetrics& job = clean.metrics.jobs().front();
-  EXPECT_EQ(job.speculative_attempts, 0u);
   EXPECT_EQ(job.killed_attempts, 0u);
   EXPECT_EQ(job.deadline_exceeded, 0u);
 }
 
-// ---- Speculative execution -------------------------------------------
-
-// Acceptance scenario 2: a delay-injected straggler (slow but correct)
-// with speculation enabled. The duplicate copy overtakes the delayed
-// primary; output and user counters are byte-identical to the same job
-// with speculation disabled.
-TEST(SpeculativeExecutionTest, RescuesDelayedStragglerWithIdenticalOutput) {
-  const RunOutcome baseline = RunKeyedSum(nullptr, {});
-  ASSERT_TRUE(baseline.result.ok());
-
-  ScriptedFaultInjector injector;
-  // The delay rule matches only the primary copy, so the speculative
-  // duplicate of the same attempt runs at full speed and wins.
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "keyed-sum";
-  rule.kind = TaskKind::kMap;
-  rule.task_index = 7;
-  rule.attempt = 0;
-  rule.speculative = false;
-  rule.delay_seconds = 30.0;
-  rule.status = Status::OK();
-  injector.AddRule(std::move(rule));
-
-  StragglerConfig cfg;
-  cfg.speculative = true;
-  Stopwatch watch;
-  const RunOutcome spec = RunKeyedSum(&injector, cfg);
-  ASSERT_TRUE(spec.result.ok()) << spec.result.status().ToString();
-  // The speculative copy must have rescued the job: waiting out the
-  // full 30s delay would blow the test timeout, and the cancelled
-  // primary never finishes its sleep.
-  EXPECT_LT(watch.ElapsedSeconds(), 25.0);
-
-  EXPECT_EQ(*spec.result, *baseline.result);
-  EXPECT_EQ(spec.counters.values(), baseline.counters.values());
-  EXPECT_EQ(spec.counters.Get("records_mapped"), 1000u);
-
-  const JobMetrics& job = spec.metrics.jobs().front();
-  EXPECT_TRUE(job.succeeded);
-  EXPECT_GE(job.speculative_attempts, 1u);
-  // The delayed primary lost the race and was killed — an engine kill,
-  // not a failure — and no deadline was configured.
-  EXPECT_GE(job.killed_attempts, 1u);
-  EXPECT_EQ(job.task_failures, 0u);
-  EXPECT_EQ(job.deadline_exceeded, 0u);
-  EXPECT_EQ(spec.metrics.TotalSpeculativeAttempts(),
-            job.speculative_attempts);
-}
-
-TEST(SpeculativeExecutionTest, SpeculationRescuesHungTaskWithoutDeadline) {
-  // Even with no deadline configured, a hung primary is recovered:
-  // the speculative duplicate wins and cancels it (the loser-kill
-  // channel, independent of the watchdog's deadline kill).
-  const RunOutcome baseline = RunKeyedSum(nullptr, {});
-  ASSERT_TRUE(baseline.result.ok());
-
-  ScriptedFaultInjector injector;
-  ScriptedFaultInjector::Rule rule;
-  rule.job_substring = "keyed-sum";
-  rule.kind = TaskKind::kMap;
-  rule.task_index = 3;
-  rule.attempt = 0;
-  rule.speculative = false;  // only the primary hangs
-  rule.hang = true;
-  injector.AddRule(std::move(rule));
-
-  StragglerConfig cfg;
-  cfg.speculative = true;
-  const RunOutcome spec = RunKeyedSum(&injector, cfg);
-  ASSERT_TRUE(spec.result.ok()) << spec.result.status().ToString();
-  EXPECT_EQ(*spec.result, *baseline.result);
-  EXPECT_EQ(spec.counters.values(), baseline.counters.values());
-  EXPECT_GE(spec.metrics.jobs().front().speculative_attempts, 1u);
-  EXPECT_GE(spec.metrics.jobs().front().killed_attempts, 1u);
-}
-
-// ---- The deadline x speculation x fault-mode x threads grid ----------
+// ---- The deadline x fault-mode x threads x task-kind grid ------------
 
 enum class FaultMode { kDelay, kHang };
 
 using GridParam = std::tuple<size_t /*threads*/, double /*deadline*/,
-                             bool /*speculative*/, FaultMode,
-                             bool /*combiner*/>;
+                             FaultMode, bool /*combiner*/, TaskKind>;
 
 class StragglerGrid : public ::testing::TestWithParam<GridParam> {};
 
 TEST_P(StragglerGrid, OutputIsByteIdenticalUnderStragglerControl) {
-  const auto [threads, deadline, speculative, mode, with_combiner] =
-      GetParam();
+  const auto [threads, deadline, mode, with_combiner, kind] = GetParam();
   // A hang is unrecoverable without a kill channel; such configurations
   // are excluded from the grid rather than silently skipped.
-  ASSERT_TRUE(mode != FaultMode::kHang || deadline > 0.0 || speculative);
+  ASSERT_TRUE(mode != FaultMode::kHang || deadline > 0.0);
 
   StragglerConfig base;
   base.threads = threads;
@@ -476,26 +428,24 @@ TEST_P(StragglerGrid, OutputIsByteIdenticalUnderStragglerControl) {
   ScriptedFaultInjector injector;
   ScriptedFaultInjector::Rule rule;
   rule.job_substring = "keyed-sum";
-  rule.kind = TaskKind::kMap;
+  rule.kind = kind;
   rule.task_index = 1;
   rule.attempt = 0;
-  rule.speculative = false;  // the injected straggler is the primary
   if (mode == FaultMode::kHang) {
     rule.hang = true;
   } else {
-    rule.delay_seconds = 30.0;  // rescued by deadline kill or speculation
+    rule.delay_seconds = 30.0;  // rescued by the deadline kill
     rule.status = Status::OK();
   }
   injector.AddRule(std::move(rule));
 
   StragglerConfig cfg = base;
   cfg.task_deadline_seconds = deadline;
-  cfg.speculative = speculative;
   const RunOutcome out = RunKeyedSum(&injector, cfg);
   ASSERT_TRUE(out.result.ok()) << out.result.status().ToString();
 
-  // Exactly-once, whichever copy won: output and every user counter
-  // match the unperturbed reference byte for byte.
+  // Exactly-once across the kill and the retry: output and every user
+  // counter match the unperturbed reference byte for byte.
   EXPECT_EQ(*out.result, *reference.result);
   EXPECT_EQ(out.counters.values(), reference.counters.values());
   EXPECT_EQ(out.counters.ToJson(), reference.counters.ToJson());
@@ -510,64 +460,55 @@ INSTANTIATE_TEST_SUITE_P(
     DeadlineOnly, StragglerGrid,
     ::testing::Combine(::testing::Values<size_t>(2, 4),
                        ::testing::Values(0.15),
-                       ::testing::Values(false),
                        ::testing::Values(FaultMode::kDelay, FaultMode::kHang),
-                       ::testing::Bool()));
+                       ::testing::Bool(), ::testing::Values(TaskKind::kMap)));
 
 INSTANTIATE_TEST_SUITE_P(
-    SpeculationOnly, StragglerGrid,
-    ::testing::Combine(::testing::Values<size_t>(2, 4),
-                       ::testing::Values(0.0),
-                       ::testing::Values(true),
-                       ::testing::Values(FaultMode::kDelay, FaultMode::kHang),
-                       ::testing::Bool()));
-
-INSTANTIATE_TEST_SUITE_P(
-    DeadlinePlusSpeculation, StragglerGrid,
+    DeadlineOnReduce, StragglerGrid,
     ::testing::Combine(::testing::Values<size_t>(2, 4),
                        ::testing::Values(0.15),
-                       ::testing::Values(true),
                        ::testing::Values(FaultMode::kDelay, FaultMode::kHang),
-                       ::testing::Bool()));
+                       ::testing::Bool(),
+                       ::testing::Values(TaskKind::kReduce)));
+
+// One execution lane: the straggler occupies the only pool thread until
+// the watchdog kills it, and the retry runs on that same lane after the
+// killed attempt returns — no oversubscribed pool is needed for
+// deadline recovery (DESIGN.md §14.2).
+INSTANTIATE_TEST_SUITE_P(
+    SingleLane, StragglerGrid,
+    ::testing::Combine(::testing::Values<size_t>(1), ::testing::Values(0.15),
+                       ::testing::Values(FaultMode::kDelay, FaultMode::kHang),
+                       ::testing::Bool(),
+                       ::testing::Values(TaskKind::kMap, TaskKind::kReduce)));
 
 // ---- Trace surface of the straggler machinery ------------------------
 
-TEST(StragglerTraceTest, KillsAndSpeculationAreVisibleInTheTrace) {
+TEST(StragglerTraceTest, DeadlineKillsAreVisibleInTheTrace) {
   Tracer& tracer = Tracer::Global();
   tracer.Clear();
   tracer.Enable(true);
 
-  // One hung map task under deadline + speculation: however the race
-  // resolves, the trace must show at least one engine intervention —
-  // a watchdog deadline-kill instant or a speculative-copy flow (with
-  // its "(speculative)" attempt span).
+  // One hung map task under a deadline: the trace must show the
+  // watchdog's deadline-kill instant.
   ScriptedFaultInjector injector;
   ScriptedFaultInjector::Rule rule;
   rule.job_substring = "keyed-sum";
   rule.kind = TaskKind::kMap;
   rule.task_index = 2;
   rule.attempt = 0;
-  rule.speculative = false;
   rule.hang = true;
   injector.AddRule(std::move(rule));
   StragglerConfig cfg;
   cfg.task_deadline_seconds = 0.15;
-  cfg.speculative = true;
   const RunOutcome out = RunKeyedSum(&injector, cfg);
   const std::string json = tracer.ToJson();
   tracer.Enable(false);
   tracer.Clear();
 
   ASSERT_TRUE(out.result.ok()) << out.result.status().ToString();
-  const JobMetrics& job = out.metrics.jobs().front();
-  if (job.deadline_exceeded > 0) {
-    EXPECT_NE(json.find("deadline-kill"), std::string::npos);
-  }
-  if (job.speculative_attempts > 0) {
-    EXPECT_NE(json.find("speculative-copy"), std::string::npos);
-    EXPECT_NE(json.find("(speculative)"), std::string::npos);
-  }
-  EXPECT_GT(job.deadline_exceeded + job.speculative_attempts, 0u);
+  EXPECT_GE(out.metrics.jobs().front().deadline_exceeded, 1u);
+  EXPECT_NE(json.find("deadline-kill"), std::string::npos);
 }
 
 // ---- Phase-level wall-clock budget -----------------------------------

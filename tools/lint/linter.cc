@@ -308,9 +308,9 @@ void RuleCancellationPoll(const std::string& path, const LexedFile& file,
       out->push_back(
           {path, t[i].line, "p3c-cancellation-poll",
            "loop drives user task code (Map/Reduce/Combine) but never "
-           "consults a CancellationToken; the watchdog's deadline kill and "
-           "the speculation loser-kill cannot stop it — poll "
-           "ThrowIfCancelled() every few iterations"});
+           "consults a CancellationToken; the watchdog's deadline kill "
+           "cannot stop it — poll ThrowIfCancelled() every few "
+           "iterations"});
     }
   }
 }

@@ -13,9 +13,6 @@
 //           [--max-attempts N]         task attempts per task (>= 1)
 //           [--task-deadline S]        wall-clock deadline per task
 //                                      attempt in seconds (0 = off)
-//           [--speculative]            enable speculative execution
-//           [--speculative-slowness F] straggler threshold: F x median
-//                                      completed duration (> 1)
 //           [--phase-budget S]         wall-clock budget per pipeline
 //                                      phase in seconds (0 = off)
 //           [--heartbeat-seconds S]    periodic structured progress line
@@ -59,11 +56,17 @@
 //           [--k K --l L]                    (PROCLUS only)
 //           [--doc-alpha F --doc-beta F --doc-w F]        (DOC only)
 //           [--block-rows N]                 (streaming-light only)
+//           [--samples-per-reducer N]        (BoW only)
 //           ALGO: p3c | p3c+ | light | mr | mr-light | streaming-light |
 //                 bow | proclus | doc
 //   p3c_cli evaluate --assignments a.csv --labels labels.csv
 //   p3c_cli evaluate-subspace --found f.txt --truth t.txt
 //   p3c_cli info     --in points.csv
+//
+// Every subcommand also takes --log-level, --track-memory and
+// --trace-out. A flag the subcommand does not know is an error
+// ("unknown flag '--X' for 'cluster'"), so a typo never runs silently
+// with the default.
 //
 // Exit code 0 on success; errors go to stderr with a non-zero exit.
 
@@ -75,6 +78,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,8 +145,39 @@ class Args {
   }
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
 
+  /// The first parsed flag (in name order) outside `known`, or "" when
+  /// every flag is known.
+  std::string FirstUnknown(const std::set<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (known.count(key) == 0) return key;
+    }
+    return "";
+  }
+
  private:
   std::map<std::string, std::string> values_;
+};
+
+/// Flags every subcommand accepts (handled in main).
+const std::set<std::string> kGlobalFlags = {"log-level", "track-memory",
+                                            "trace-out"};
+
+/// Flags each subcommand accepts on top of kGlobalFlags; the header of
+/// this file documents them.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"generate",
+     {"out", "labels", "truth", "points", "dims", "clusters", "noise", "seed",
+      "binary"}},
+    {"cluster",
+     {"in", "algo", "out", "clusters-out", "normalize", "threads", "theta",
+      "alpha-poisson", "job-log", "metrics-out", "max-attempts",
+      "task-deadline", "phase-budget", "heartbeat-seconds", "backend",
+      "num-workers", "worker-heartbeat-seconds", "checkpoint-dir",
+      "crash-after-phase", "kernel-backend", "k", "l", "doc-alpha",
+      "doc-beta", "doc-w", "block-rows", "samples-per-reducer"}},
+    {"evaluate", {"assignments", "labels"}},
+    {"evaluate-subspace", {"found", "truth"}},
+    {"info", {"in"}},
 };
 
 int Fail(const std::string& message) {
@@ -311,15 +346,6 @@ Result<core::ClusteringResult> RunAlgo(const std::string& algo,
           "--task-deadline must be >= 0 seconds (0 disables the deadline)");
     }
     options.runner.task_deadline_seconds = task_deadline;
-    options.runner.speculative_execution = args.Has("speculative");
-    const double slowness = args.GetDouble(
-        "speculative-slowness", options.runner.speculative_slowness_factor);
-    if (slowness <= 1.0) {
-      return Status::InvalidArgument(
-          "--speculative-slowness must be > 1 (an attempt is a straggler "
-          "only when slower than the median of its siblings)");
-    }
-    options.runner.speculative_slowness_factor = slowness;
     const double phase_budget = args.GetDouble("phase-budget", 0.0);
     if (phase_budget < 0.0) {
       return Status::InvalidArgument(
@@ -567,6 +593,14 @@ int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Args args(argc, argv);
+  const auto command_flags = kCommandFlags.find(command);
+  if (command_flags == kCommandFlags.end()) return Usage();
+  std::set<std::string> known = command_flags->second;
+  known.insert(kGlobalFlags.begin(), kGlobalFlags.end());
+  const std::string unknown = args.FirstUnknown(known);
+  if (!unknown.empty()) {
+    return Fail("unknown flag '--" + unknown + "' for '" + command + "'");
+  }
 
   // Graceful SIGINT/SIGTERM: the handler only sets a flag; this watcher
   // trips the cancellation source the MR driver polls. Joined before

@@ -267,7 +267,6 @@ struct Report {
   double total_records = -1.0;
   double task_failures = 0.0;
   double retried_tasks = 0.0;
-  double speculative_attempts = 0.0;
   double killed_attempts = 0.0;
   double deadline_exceeded = 0.0;
   size_t mem_instants = 0;
@@ -345,7 +344,7 @@ void FoldTrace(const JsonValue& trace, size_t top_n, Report& report) {
   report.have_trace = true;
 }
 
-/// Folds the metrics JSON: run totals, retry/speculation summary, the
+/// Folds the metrics JSON: run totals, retry/kill summary, the
 /// per-job skew table, and the driver bag's mem.* gauges (including the
 /// per-phase peaks joined into the phase table).
 void FoldMetrics(const JsonValue& metrics, Report& report) {
@@ -353,8 +352,6 @@ void FoldMetrics(const JsonValue& metrics, Report& report) {
   report.total_records = metrics.Number("total_input_records", -1.0);
   report.task_failures = metrics.Number("total_task_failures", 0.0);
   report.retried_tasks = metrics.Number("total_retried_tasks", 0.0);
-  report.speculative_attempts =
-      metrics.Number("total_speculative_attempts", 0.0);
   report.killed_attempts = metrics.Number("total_killed_attempts", 0.0);
   report.deadline_exceeded =
       metrics.Number("total_deadline_exceeded", 0.0);
@@ -444,12 +441,11 @@ std::string RenderText(const Report& report) {
     }
   }
   if (report.have_metrics) {
-    out += "\nretries & speculation:\n";
+    out += "\nretries & kills:\n";
     out += StringPrintf(
-        "  task failures %.0f, retried tasks %.0f, speculative attempts "
-        "%.0f, killed attempts %.0f, deadline exceeded %.0f\n",
-        report.task_failures, report.retried_tasks,
-        report.speculative_attempts, report.killed_attempts,
+        "  task failures %.0f, retried tasks %.0f, killed attempts %.0f, "
+        "deadline exceeded %.0f\n",
+        report.task_failures, report.retried_tasks, report.killed_attempts,
         report.deadline_exceeded);
   }
   if (!report.skews.empty()) {
@@ -490,11 +486,10 @@ std::string RenderJson(const Report& report) {
   out += StringPrintf(
       "  \"totals\": {\"job_seconds\": %.6f, \"job_records\": %.0f, "
       "\"task_failures\": %.0f, \"retried_tasks\": %.0f, "
-      "\"speculative_attempts\": %.0f, \"killed_attempts\": %.0f, "
-      "\"deadline_exceeded\": %.0f, \"mem_high_water_instants\": %zu},\n",
+      "\"killed_attempts\": %.0f, \"deadline_exceeded\": %.0f, "
+      "\"mem_high_water_instants\": %zu},\n",
       report.total_seconds, report.total_records, report.task_failures,
-      report.retried_tasks, report.speculative_attempts,
-      report.killed_attempts, report.deadline_exceeded,
+      report.retried_tasks, report.killed_attempts, report.deadline_exceeded,
       report.mem_instants);
   out += "  \"skew\": [";
   for (size_t s = 0; s < report.skews.size(); ++s) {
