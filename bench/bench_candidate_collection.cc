@@ -50,8 +50,10 @@ int main() {
     params.multilevel_candidates = config.multilevel;
     if (config.t_c > 0) params.t_c = config.t_c;
     Stopwatch watch;
-    const auto result = core::GenerateClusterCores(
-        intervals, data.dataset.num_points(), params, counter, &pool);
+    const auto result =
+        core::GenerateClusterCores(intervals, data.dataset.num_points(),
+                                   params, counter, &pool)
+            .value();
     std::printf("%22s %14zu %16llu %10zu %7.2fs\n", config.name,
                 result.stats.num_support_batches,
                 static_cast<unsigned long long>(

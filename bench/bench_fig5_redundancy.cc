@@ -70,8 +70,10 @@ int main() {
         params.alpha_poisson = std::pow(10.0, exponent);
         params.redundancy_filter = true;  // both counts are in the stats
         const auto intervals = RelevantIntervals(data.dataset, params);
-        const auto detection = core::GenerateClusterCores(
-            intervals, data.dataset.num_points(), params, counter, &pool);
+        const auto detection =
+            core::GenerateClusterCores(intervals, data.dataset.num_points(),
+                                       params, counter, &pool)
+                .value();
         if (mode == core::ProvingMode::kPoisson) {
           row.poisson_raw = detection.stats.num_maximal;
           row.poisson_filtered = detection.stats.num_after_redundancy;

@@ -172,12 +172,10 @@ Result<core::ClusteringResult> BoW::Cluster(const data::Dataset& dataset) {
   });
   std::vector<std::vector<data::PointId>> members(rects.size());
   {
-    const size_t num_tasks = std::min<size_t>(n, pool.num_threads() * 4);
     std::vector<std::vector<std::vector<data::PointId>>> local(
-        num_tasks, std::vector<std::vector<data::PointId>>(rects.size()));
-    pool.ParallelFor(num_tasks, [&](size_t task) {
-      const size_t begin = n * task / num_tasks;
-      const size_t end = n * (task + 1) / num_tasks;
+        NumTasks(n, &pool),
+        std::vector<std::vector<data::PointId>>(rects.size()));
+    ForEachRange(n, &pool, [&](size_t task, size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) {
         const auto row = dataset.Row(static_cast<data::PointId>(i));
         for (size_t r = 0; r < rects.size(); ++r) {

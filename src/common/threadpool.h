@@ -1,6 +1,7 @@
 #ifndef P3C_COMMON_THREADPOOL_H_
 #define P3C_COMMON_THREADPOOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <functional>
@@ -83,6 +84,28 @@ class ThreadPool {
   size_t pending_ P3C_GUARDED_BY(mu_) = 0;  // queued + running tasks
   bool stop_ P3C_GUARDED_BY(mu_) = false;
 };
+
+/// Ranges ForEachRange splits `n` items into: 1 when `pool` is null or
+/// n is 0, else min(n, 4 x threads). A pure function of (n, threads), so
+/// partials merged in range order reduce bit-identically run to run.
+inline size_t NumTasks(size_t n, const ThreadPool* pool) {
+  if (pool == nullptr || n == 0) return 1;
+  return std::min(n, pool->num_threads() * 4);
+}
+
+/// Runs `fn(task, begin, end)` over the NumTasks(n, pool) = T ranges
+/// [n * task / T, n * (task + 1) / T); inline when T is 1.
+template <typename Fn>
+void ForEachRange(size_t n, ThreadPool* pool, const Fn& fn) {
+  const size_t num_tasks = NumTasks(n, pool);
+  if (num_tasks == 1) {
+    fn(size_t{0}, size_t{0}, n);
+    return;
+  }
+  pool->ParallelFor(num_tasks, [&](size_t task) {
+    fn(task, n * task / num_tasks, n * (task + 1) / num_tasks);
+  });
+}
 
 }  // namespace p3c
 

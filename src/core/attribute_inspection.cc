@@ -10,14 +10,16 @@
 
 namespace p3c::core {
 
+size_t MemberHistogramBins(stats::BinningRule rule, uint64_t members) {
+  return static_cast<size_t>(
+      stats::NumBins(rule, std::max<uint64_t>(1, members)));
+}
+
 std::vector<stats::Histogram> BuildMemberHistograms(
     const data::Dataset& dataset, const std::vector<data::PointId>& members,
-    stats::BinningRule rule) {
+    size_t num_bins) {
   const size_t d = dataset.num_dims();
-  const uint64_t bins =
-      stats::NumBins(rule, std::max<uint64_t>(1, members.size()));
-  std::vector<stats::Histogram> histograms(
-      d, stats::Histogram(static_cast<size_t>(bins)));
+  std::vector<stats::Histogram> histograms(d, stats::Histogram(num_bins));
   for (data::PointId p : members) {
     const auto row = dataset.Row(p);
     for (size_t j = 0; j < d; ++j) histograms[j].Add(row[j]);
@@ -39,7 +41,7 @@ std::vector<Interval> SuggestNewIntervals(
   return out;
 }
 
-std::vector<std::vector<Interval>> ProveSuggestedIntervals(
+Result<std::vector<std::vector<Interval>>> ProveSuggestedIntervals(
     const std::vector<ClusterCore>& cores,
     const std::vector<std::vector<Interval>>& suggestions,
     const P3CParams& params, const SupportCountFn& count_supports) {
@@ -82,14 +84,15 @@ std::vector<std::vector<Interval>> ProveSuggestedIntervals(
     }
   }
   if (augmented.empty()) return accepted;
-  const std::vector<uint64_t> counts = count_supports(augmented);
+  Result<std::vector<uint64_t>> counts = count_supports(augmented);
+  if (!counts.ok()) return counts.status();
 
   const double log_alpha = std::log(params.alpha_poisson);
   // Per (cluster, attr) keep the accepted interval with the largest
   // effect size.
   std::map<std::pair<size_t, size_t>, std::pair<double, Interval>> best;
   for (const Pending& p : pending) {
-    const double observed = static_cast<double>(counts[p.batch_index]);
+    const double observed = static_cast<double>((*counts)[p.batch_index]);
     const double expected =
         static_cast<double>(cores[p.cluster].support) * p.interval.width();
     if (!stats::PoissonSignificantlyLargerLog(observed, expected, log_alpha)) {

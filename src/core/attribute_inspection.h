@@ -11,12 +11,18 @@
 
 namespace p3c::core {
 
+/// Bin count of one cluster's member histograms (§5.6): `rule` applied
+/// to the member count, at least one member so an empty cluster still
+/// gets a histogram.
+size_t MemberHistogramBins(stats::BinningRule rule, uint64_t members);
+
 /// Builds, for one cluster, the per-attribute histograms of its members
-/// (outliers removed), with the bin count derived from the member count
-/// by `rule` — the per-cluster histogram job of §5.6.
+/// (outliers removed) with `num_bins` bins each — the per-cluster
+/// histogram job of §5.6; `num_bins` is MemberHistogramBins of the
+/// member count.
 std::vector<stats::Histogram> BuildMemberHistograms(
     const data::Dataset& dataset, const std::vector<data::PointId>& members,
-    stats::BinningRule rule);
+    size_t num_bins);
 
 /// Phase A of attribute inspection (§4.2.3): runs the relevant-interval
 /// marking loop on the member histograms of attributes NOT already in the
@@ -36,8 +42,9 @@ std::vector<Interval> SuggestNewIntervals(
 /// (at most one per attribute: the one with the largest effect size).
 ///
 /// When `params.ai_proving` is false (original P3C), every suggestion is
-/// accepted (still at most one per attribute, by member support).
-std::vector<std::vector<Interval>> ProveSuggestedIntervals(
+/// accepted (still at most one per attribute, by member support). A
+/// failing `count_supports` call is returned as-is.
+Result<std::vector<std::vector<Interval>>> ProveSuggestedIntervals(
     const std::vector<ClusterCore>& cores,
     const std::vector<std::vector<Interval>>& suggestions,
     const P3CParams& params, const SupportCountFn& count_supports);

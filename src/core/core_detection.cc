@@ -26,8 +26,8 @@ struct ProvingState {
 
 /// Counts every not-yet-counted signature reachable from `batch` by
 /// removing intervals (downward closure), then decides provenness bottom
-/// up. Returns the number of newly proven signatures.
-size_t ProveBatch(const std::vector<Signature>& batch, uint64_t num_points,
+/// up. Fails only when the support count fails.
+Status ProveBatch(const std::vector<Signature>& batch, uint64_t num_points,
                   const P3CParams& params,
                   const SupportCountFn& count_supports, ProvingState& state,
                   CoreDetectionStats& stats) {
@@ -55,9 +55,10 @@ size_t ProveBatch(const std::vector<Signature>& batch, uint64_t num_points,
   }
 
   if (!to_count.empty()) {
-    const std::vector<uint64_t> counts = count_supports(to_count);
+    Result<std::vector<uint64_t>> counts = count_supports(to_count);
+    if (!counts.ok()) return counts.status();
     for (size_t i = 0; i < to_count.size(); ++i) {
-      state.supports.emplace(std::move(to_count[i]), counts[i]);
+      state.supports.emplace(std::move(to_count[i]), (*counts)[i]);
     }
     stats.num_signatures_counted += to_count.size();
   }
@@ -117,7 +118,7 @@ size_t ProveBatch(const std::vector<Signature>& batch, uint64_t num_points,
   }
   stats.num_proven += newly_proven;
   ++stats.num_support_batches;
-  return newly_proven;
+  return Status::OK();
 }
 
 }  // namespace
@@ -174,7 +175,7 @@ std::vector<ClusterCore> FilterRedundant(
   return kept;
 }
 
-CoreDetectionResult GenerateClusterCores(
+Result<CoreDetectionResult> GenerateClusterCores(
     const std::vector<Interval>& relevant_intervals, uint64_t num_points,
     const P3CParams& params, const SupportCountFn& count_supports,
     ThreadPool* pool) {
@@ -209,7 +210,8 @@ CoreDetectionResult GenerateClusterCores(
 
     std::vector<Signature> base;
     if (prove_now && !pending.empty()) {
-      ProveBatch(pending, num_points, params, count_supports, state, stats);
+      P3C_RETURN_NOT_OK(ProveBatch(pending, num_points, params,
+                                   count_supports, state, stats));
       pending.clear();
       csum = 0;
       // Continue the A-priori expansion from the proven members of the
@@ -233,7 +235,8 @@ CoreDetectionResult GenerateClusterCores(
                         << ")";
       stats.truncated = true;
       if (!pending.empty()) {
-        ProveBatch(pending, num_points, params, count_supports, state, stats);
+        P3C_RETURN_NOT_OK(ProveBatch(pending, num_points, params,
+                                     count_supports, state, stats));
       }
       break;
     }
@@ -250,7 +253,8 @@ CoreDetectionResult GenerateClusterCores(
     }
     if (current.empty()) {
       if (!pending.empty()) {
-        ProveBatch(pending, num_points, params, count_supports, state, stats);
+        P3C_RETURN_NOT_OK(ProveBatch(pending, num_points, params,
+                                     count_supports, state, stats));
         pending.clear();
       }
       break;

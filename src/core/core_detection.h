@@ -5,6 +5,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/common/threadpool.h"
 #include "src/core/interval.h"
 #include "src/core/params.h"
@@ -51,11 +52,13 @@ struct CoreDetectionResult {
   CoreDetectionStats stats;
 };
 
-/// Backend that counts Supp(S) for a batch of signatures over the data.
-/// The serial pipeline passes an RSSC scan; the MapReduce pipeline passes
-/// a function that runs the support-counting job of §5.3.
-using SupportCountFn =
-    std::function<std::vector<uint64_t>(const std::vector<Signature>&)>;
+/// Backend that counts Supp(S) for a batch of signatures over the data:
+/// one record pass of the executor under the P3C+ driver (an RSSC scan
+/// in memory, the support-counting job of §5.3, or a block-stream pass).
+/// A failed pass (I/O error, exhausted job retries, cancellation) is
+/// returned as-is and stops the caller.
+using SupportCountFn = std::function<Result<std::vector<uint64_t>>(
+    const std::vector<Signature>&)>;
 
 /// Cluster-core generation (Algorithm 1) on top of an abstract support
 /// counter.
@@ -77,8 +80,9 @@ using SupportCountFn =
 /// After proving, non-maximal signatures are dropped (Definition 5(2):
 /// keep S only if no proven strict superset exists) and, when
 /// params.redundancy_filter is set, redundant signatures are removed per
-/// Eq. 5/6.
-CoreDetectionResult GenerateClusterCores(
+/// Eq. 5/6. The first failing `count_supports` call ends the run with
+/// its Status.
+Result<CoreDetectionResult> GenerateClusterCores(
     const std::vector<Interval>& relevant_intervals, uint64_t num_points,
     const P3CParams& params, const SupportCountFn& count_supports,
     ThreadPool* pool);

@@ -11,27 +11,6 @@
 
 namespace p3c::core {
 
-namespace {
-
-size_t NumTasks(size_t n, ThreadPool* pool) {
-  if (pool == nullptr || n == 0) return 1;
-  return std::min(n, pool->num_threads() * 4);
-}
-
-template <typename Fn>
-void ForEachRange(size_t n, ThreadPool* pool, const Fn& fn) {
-  const size_t num_tasks = NumTasks(n, pool);
-  if (pool == nullptr || num_tasks == 1) {
-    fn(0, 0, n);
-    return;
-  }
-  pool->ParallelFor(num_tasks, [&](size_t task) {
-    fn(task, n * task / num_tasks, n * (task + 1) / num_tasks);
-  });
-}
-
-}  // namespace
-
 MvbStatistics ComputeMvbStatistics(const std::vector<linalg::Vector>& members) {
   MvbStatistics stats;
   stats.num_members = members.size();

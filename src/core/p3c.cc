@@ -1,53 +1,118 @@
 #include "src/core/p3c.h"
 
-#include <algorithm>
-
 #include "src/common/stopwatch.h"
 #include "src/core/attribute_inspection.h"
+#include "src/core/driver.h"
 #include "src/core/gmm.h"
 #include "src/core/interval_tightening.h"
 #include "src/core/outlier.h"
-#include "src/core/relevant_intervals.h"
 #include "src/core/support_counter.h"
 
 namespace p3c::core {
 
 namespace {
 
-/// Per-attribute histograms of the whole dataset (the §5.1 histogram
-/// job): range-parallel partial histograms merged by a single "reducer".
-std::vector<stats::Histogram> BuildDatasetHistograms(
-    const data::Dataset& dataset, stats::BinningRule rule, ThreadPool* pool) {
-  const size_t n = dataset.num_points();
-  const size_t d = dataset.num_dims();
-  const uint64_t bins = stats::NumBins(rule, std::max<uint64_t>(1, n));
-  const size_t num_tasks =
-      pool == nullptr ? 1 : std::min(n, pool->num_threads() * 4);
+/// The in-memory executor: every pass is a range-parallel scan of the
+/// loaded dataset on the pipeline's thread pool. Keeps the member lists
+/// (m' or non-outliers) and the reported point lists between passes.
+class InMemoryExecutor final : public PassExecutor {
+ public:
+  InMemoryExecutor(const data::Dataset& dataset, const P3CParams& params,
+                   ThreadPool* pool)
+      : dataset_(dataset), params_(params), pool_(pool) {}
 
-  std::vector<std::vector<stats::Histogram>> partials(
-      std::max<size_t>(1, num_tasks),
-      std::vector<stats::Histogram>(d,
-                                    stats::Histogram(static_cast<size_t>(bins))));
-  auto scan = [&](size_t task, size_t begin, size_t end) {
-    auto& local = partials[task];
-    for (size_t i = begin; i < end; ++i) {
-      const auto row = dataset.Row(static_cast<data::PointId>(i));
-      for (size_t j = 0; j < d; ++j) local[j].Add(row[j]);
-    }
-  };
-  if (pool == nullptr || num_tasks <= 1) {
-    scan(0, 0, n);
-  } else {
-    pool->ParallelFor(num_tasks, [&](size_t task) {
-      scan(task, n * task / num_tasks, n * (task + 1) / num_tasks);
+  uint64_t num_points() const override { return dataset_.num_points(); }
+  ThreadPool* pool() override { return pool_; }
+
+  Result<std::vector<stats::Histogram>> Histograms(
+      stats::BinningRule rule) override {
+    const size_t n = dataset_.num_points();
+    const size_t d = dataset_.num_dims();
+    const auto bins = static_cast<size_t>(stats::NumBins(rule, n));
+    // Range-parallel partial histograms merged by a single "reducer".
+    std::vector<std::vector<stats::Histogram>> partials(
+        NumTasks(n, pool_),
+        std::vector<stats::Histogram>(d, stats::Histogram(bins)));
+    ForEachRange(n, pool_, [&](size_t task, size_t begin, size_t end) {
+      auto& local = partials[task];
+      for (size_t i = begin; i < end; ++i) {
+        const auto row = dataset_.Row(static_cast<data::PointId>(i));
+        for (size_t j = 0; j < d; ++j) local[j].Add(row[j]);
+      }
     });
+    std::vector<stats::Histogram> merged = std::move(partials.front());
+    for (size_t t = 1; t < partials.size(); ++t) {
+      for (size_t j = 0; j < d; ++j) merged[j].Merge(partials[t][j]);
+    }
+    return merged;
   }
-  std::vector<stats::Histogram> merged = std::move(partials.front());
-  for (size_t t = 1; t < partials.size(); ++t) {
-    for (size_t j = 0; j < d; ++j) merged[j].Merge(partials[t][j]);
+
+  Result<std::vector<uint64_t>> CountSupports(
+      const std::vector<Signature>& sigs) override {
+    return core::CountSupports(dataset_, sigs, pool_);
   }
-  return merged;
-}
+
+  Result<std::vector<uint64_t>> LightMembership(
+      const std::vector<Signature>& signatures) override {
+    reported_ = ComputeSupportSets(dataset_, signatures, pool_);
+    // m' mapping: histograms (and tightening) use only points matching
+    // exactly one core, which avoids the redundancy-induced blur.
+    members_ = GroupByCluster(
+        UniqueAssignments(dataset_, signatures, pool_), signatures.size());
+    return MemberCounts();
+  }
+
+  Result<std::vector<uint64_t>> Refine(
+      const std::vector<ClusterCore>& cores) override {
+    Result<GmmModel> init =
+        InitializeFromCores(dataset_, cores, params_, pool_);
+    if (!init.ok()) return init.status();
+    Result<EmResult> em =
+        RunEm(dataset_, std::move(init).value(), params_, pool_);
+    if (!em.ok()) return em.status();
+    Result<OutlierDetectionResult> od =
+        DetectOutliers(dataset_, em->model, params_, pool_);
+    if (!od.ok()) return od.status();
+    members_ = GroupByCluster(od->assignment, cores.size());
+    reported_ = members_;
+    return MemberCounts();
+  }
+
+  Result<std::vector<std::vector<stats::Histogram>>> MemberHistograms(
+      const std::vector<size_t>& bins) override {
+    std::vector<std::vector<stats::Histogram>> histograms(members_.size());
+    pool_->ParallelFor(members_.size(), [&](size_t c) {
+      histograms[c] = BuildMemberHistograms(dataset_, members_[c], bins[c]);
+    });
+    return histograms;
+  }
+
+  Result<std::vector<std::vector<Interval>>> Tighten(
+      const std::vector<std::vector<size_t>>& attrs) override {
+    std::vector<std::vector<Interval>> intervals(members_.size());
+    for (size_t c = 0; c < members_.size(); ++c) {
+      intervals[c] = TightenIntervals(dataset_, members_[c], attrs[c]);
+    }
+    return intervals;
+  }
+
+  std::vector<std::vector<data::PointId>> TakeReported() {
+    return std::move(reported_);
+  }
+
+ private:
+  std::vector<uint64_t> MemberCounts() const {
+    std::vector<uint64_t> counts;
+    for (const auto& members : members_) counts.push_back(members.size());
+    return counts;
+  }
+
+  const data::Dataset& dataset_;
+  const P3CParams& params_;
+  ThreadPool* pool_;
+  std::vector<std::vector<data::PointId>> members_;
+  std::vector<std::vector<data::PointId>> reported_;
+};
 
 }  // namespace
 
@@ -63,113 +128,11 @@ Result<ClusteringResult> P3CPipeline::Cluster(const data::Dataset& dataset) {
     return Status::InvalidArgument(
         "dataset must be normalized to [0, 1]; call NormalizeMinMax first");
   }
-  ThreadPool* pool = pool_.get();
-  ClusteringResult result;
-
-  // ---- 1. Histogram building (§5.1) -------------------------------------
-  const std::vector<stats::Histogram> histograms =
-      BuildDatasetHistograms(dataset, params_.binning, pool);
-
-  // ---- 2. Relevant intervals (§5.2) --------------------------------------
-  const std::vector<Interval> relevant =
-      FindAllRelevantIntervals(histograms, params_.alpha_chi2);
-
-  // ---- 3. Cluster-core generation (§5.3) ---------------------------------
-  SupportCountFn counter = [&](const std::vector<Signature>& sigs) {
-    return CountSupports(dataset, sigs, pool);
-  };
-  CoreDetectionResult detection = GenerateClusterCores(
-      relevant, dataset.num_points(), params_, counter, pool);
-  result.core_stats = detection.stats;
-  result.cores = detection.cores;
-  if (detection.cores.empty()) {
-    result.seconds = watch.ElapsedSeconds();
-    return result;
-  }
-  result.arel = RelevantAttributeUnion(detection.cores);
-
-  const size_t k = detection.cores.size();
-  std::vector<std::vector<data::PointId>> members(k);
-  std::vector<std::vector<data::PointId>> reported_points(k);
-
-  if (params_.light) {
-    // ---- Light path (§6): clusters are the cores themselves -------------
-    std::vector<Signature> signatures;
-    signatures.reserve(k);
-    for (const ClusterCore& core : detection.cores) {
-      signatures.push_back(core.signature);
-    }
-    reported_points = ComputeSupportSets(dataset, signatures, pool);
-    // m' mapping: histograms (and tightening) use only points matching
-    // exactly one core, which avoids the redundancy-induced blur.
-    const std::vector<int32_t> unique =
-        UniqueAssignments(dataset, signatures, pool);
-    for (size_t i = 0; i < unique.size(); ++i) {
-      if (unique[i] >= 0) {
-        members[static_cast<size_t>(unique[i])].push_back(
-            static_cast<data::PointId>(i));
-      }
-    }
-  } else {
-    // ---- Full path: EM refinement + outlier detection (§5.4, §5.5) ------
-    Result<GmmModel> init =
-        InitializeFromCores(dataset, detection.cores, params_, pool);
-    if (!init.ok()) return init.status();
-    Result<EmResult> em =
-        RunEm(dataset, std::move(init).value(), params_, pool);
-    if (!em.ok()) return em.status();
-    Result<OutlierDetectionResult> od =
-        DetectOutliers(dataset, em->model, params_, pool);
-    if (!od.ok()) return od.status();
-    for (size_t i = 0; i < od->assignment.size(); ++i) {
-      const int32_t c = od->assignment[i];
-      if (c >= 0) {
-        members[static_cast<size_t>(c)].push_back(
-            static_cast<data::PointId>(i));
-      }
-    }
-    reported_points = members;
-  }
-
-  // ---- 4. Attribute inspection (§4.2.3 / §5.6) ---------------------------
-  std::vector<std::vector<Interval>> suggestions(k);
-  if (pool != nullptr && k > 1) {
-    pool->ParallelFor(k, [&](size_t c) {
-      const auto member_hists =
-          BuildMemberHistograms(dataset, members[c], params_.binning);
-      suggestions[c] = SuggestNewIntervals(detection.cores[c].signature,
-                                           member_hists, params_.alpha_chi2);
-    });
-  } else {
-    for (size_t c = 0; c < k; ++c) {
-      const auto member_hists =
-          BuildMemberHistograms(dataset, members[c], params_.binning);
-      suggestions[c] = SuggestNewIntervals(detection.cores[c].signature,
-                                           member_hists, params_.alpha_chi2);
-    }
-  }
-  const std::vector<std::vector<Interval>> accepted =
-      ProveSuggestedIntervals(detection.cores, suggestions, params_, counter);
-
-  // ---- 5. Interval tightening (§5.7) --------------------------------------
-  for (size_t c = 0; c < k; ++c) {
-    if (reported_points[c].empty()) continue;  // nothing to report
-    ProjectedCluster cluster;
-    cluster.points = reported_points[c];
-    if (members[c].empty()) {
-      // Light corner case: every support-set point is shared with another
-      // core, so no m'-unique members exist to inspect or tighten with;
-      // report the core's own signature.
-      cluster.attrs = detection.cores[c].signature.attrs();
-      cluster.intervals = detection.cores[c].signature.intervals();
-    } else {
-      cluster.attrs =
-          FinalAttributes(detection.cores[c].signature, accepted[c]);
-      cluster.intervals = TightenIntervals(dataset, members[c], cluster.attrs);
-    }
-    result.clusters.push_back(std::move(cluster));
-  }
-
+  InMemoryExecutor executor(dataset, params_, pool_.get());
+  Result<ModelResult> model = RunP3C(params_, executor);
+  if (!model.ok()) return model.status();
+  ClusteringResult result =
+      ToClusteringResult(std::move(model).value(), executor.TakeReported());
   result.seconds = watch.ElapsedSeconds();
   return result;
 }

@@ -11,17 +11,13 @@
 
 namespace p3c::core {
 
-/// Serial (single-process, multi-threaded) reference implementation of
-/// the P3C family. One class covers the whole lattice of variants via
-/// P3CParams presets:
+/// In-memory P3C family: core::RunP3C over the in-memory executor (range-
+/// parallel scans of the loaded dataset on this instance's pool). One
+/// class covers the lattice of variants via P3CParams presets:
 ///
 ///   * `P3CParams{}`          — P3C+ (the paper's improved model, §4)
 ///   * `OriginalP3CParams()`  — P3C   (Moise et al., §3)
 ///   * `LightParams()`        — P3C+-Light (§6, no EM / outlier steps)
-///
-/// The MapReduce pipeline in src/mr produces the same model decisions
-/// with MR jobs instead of in-process scans; this class is the oracle the
-/// MR implementation is tested against.
 ///
 /// Thread-safe for concurrent Cluster() calls only through separate
 /// instances (each instance owns one thread pool).

@@ -5,12 +5,12 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "src/common/atomic_file.h"
 #include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
-#include "src/core/attribute_inspection.h"
-#include "src/core/relevant_intervals.h"
+#include "src/core/driver.h"
 #include "src/core/rssc.h"
 
 namespace p3c::core {
@@ -92,6 +92,172 @@ Status BinaryDatasetReader::ForEachBlock(
   return status;
 }
 
+namespace {
+
+/// The block-stream executor: every pass is one sequential
+/// BinaryDatasetReader scan, so memory stays O(block + per-core
+/// histograms) whatever n is. Light only: nothing point-sized is kept
+/// between passes, just the m' counts and, from the member-histogram
+/// pass, per-core min/max tables that make tightening free.
+class BlockStreamExecutor final : public PassExecutor {
+ public:
+  BlockStreamExecutor(const BinaryDatasetReader& reader, size_t block_rows,
+                      const std::function<void()>& before_support_scan)
+      : reader_(reader),
+        block_rows_(block_rows),
+        d_(static_cast<size_t>(reader.num_dims())),
+        before_support_scan_(before_support_scan) {}
+
+  uint64_t num_points() const override { return reader_.num_points(); }
+  /// Full sequential scans over the file so far.
+  size_t passes() const { return passes_; }
+
+  Result<std::vector<stats::Histogram>> Histograms(
+      stats::BinningRule rule) override {
+    std::vector<stats::Histogram> histograms(
+        d_, stats::Histogram(
+                static_cast<size_t>(stats::NumBins(rule, num_points()))));
+    P3C_RETURN_NOT_OK(Pass([&](data::PointId, const data::Dataset& block) {
+      if (!block.IsNormalized()) {
+        return Status::InvalidArgument(
+            "file contains values outside [0, 1]; normalize before writing");
+      }
+      // Column-at-a-time over the row-major block (stride = d) so each
+      // attribute's whole batch goes through one kernel call.
+      const double* values = block.values().data();
+      for (size_t j = 0; j < d_; ++j) {
+        histograms[j].AddStrided(values + j, block.num_points(), d_);
+      }
+      return Status::OK();
+    }));
+    return histograms;
+  }
+
+  Result<std::vector<uint64_t>> CountSupports(
+      const std::vector<Signature>& sigs) override {
+    std::vector<uint64_t> supports(sigs.size(), 0);
+    if (sigs.empty()) return supports;
+    if (before_support_scan_) before_support_scan_();
+    const Rssc index(sigs);
+    // Accumulate straight into the result: Rssc::Accumulate only needs
+    // one counter per live signature (no padded-lane copy-out).
+    P3C_RETURN_NOT_OK(Pass([&](data::PointId, const data::Dataset& block) {
+      std::vector<uint64_t> scratch;
+      for (size_t i = 0; i < block.num_points(); ++i) {
+        index.Accumulate(block.Row(static_cast<data::PointId>(i)), scratch,
+                         supports);
+      }
+      return Status::OK();
+    }));
+    return supports;
+  }
+
+  Result<std::vector<uint64_t>> LightMembership(
+      const std::vector<Signature>& signatures) override {
+    index_ = std::make_unique<Rssc>(signatures);
+    k_ = signatures.size();
+    std::vector<uint64_t> unique_counts(k_, 0);
+    P3C_RETURN_NOT_OK(MatchPass([&](uint64_t, const auto&, int c) {
+      if (c >= 0) ++unique_counts[static_cast<size_t>(c)];
+    }));
+    return unique_counts;
+  }
+
+  Result<std::vector<uint64_t>> Refine(
+      const std::vector<ClusterCore>&) override {
+    return Status::NotImplemented(
+        "the block-stream executor runs P3C+-Light only");
+  }
+
+  Result<std::vector<std::vector<stats::Histogram>>> MemberHistograms(
+      const std::vector<size_t>& bins) override {
+    std::vector<std::vector<stats::Histogram>> histograms(k_);
+    for (size_t c = 0; c < k_; ++c) {
+      histograms[c].assign(d_, stats::Histogram(bins[c]));
+    }
+    // The same pass records per-attribute min/max of the m' members, so
+    // tightening needs no pass of its own.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    mins_.assign(k_, std::vector<double>(d_, kInf));
+    maxs_.assign(k_, std::vector<double>(d_, -kInf));
+    P3C_RETURN_NOT_OK(MatchPass([&](uint64_t, const auto& row, int c) {
+      if (c < 0) return;
+      for (size_t j = 0; j < d_; ++j) {
+        histograms[c][j].Add(row[j]);
+        mins_[c][j] = std::min(mins_[c][j], row[j]);
+        maxs_[c][j] = std::max(maxs_[c][j], row[j]);
+      }
+    }));
+    return histograms;
+  }
+
+  Result<std::vector<std::vector<Interval>>> Tighten(
+      const std::vector<std::vector<size_t>>& attrs) override {
+    std::vector<std::vector<Interval>> intervals(k_);
+    for (size_t c = 0; c < k_; ++c) {
+      for (size_t attr : attrs[c]) {
+        intervals[c].push_back(Interval{attr, mins_[c][attr], maxs_[c][attr]});
+      }
+    }
+    return intervals;
+  }
+
+  /// One more pass writing "point,cluster" per point: the matching
+  /// core, -1 for none, -2 for several.
+  Status WriteAssignments(const std::string& path) {
+    AtomicFileWriter writer(path);
+    P3C_RETURN_NOT_OK(writer.Open());
+    std::FILE* out = writer.stream();
+    std::fprintf(out, "point,cluster\n");
+    P3C_RETURN_NOT_OK(MatchPass([&](uint64_t point, const auto&, int c) {
+      std::fprintf(out, "%llu,%d\n", static_cast<unsigned long long>(point),
+                   c);
+    }));
+    return writer.Commit();
+  }
+
+ private:
+  template <typename Fn>
+  Status Pass(const Fn& fn) {
+    P3C_RETURN_NOT_OK(reader_.ForEachBlock(block_rows_, fn));
+    ++passes_;
+    return Status::OK();
+  }
+
+  /// One pass calling `fn(point, row, c)` for every row, where c is the
+  /// only core the row matches, -1 for none and -2 for several (m').
+  template <typename Fn>
+  Status MatchPass(const Fn& fn) {
+    return Pass([&](data::PointId first, const data::Dataset& block) {
+      std::vector<uint64_t> bits;
+      std::vector<uint32_t> ids;
+      for (size_t i = 0; i < block.num_points(); ++i) {
+        const auto row = block.Row(static_cast<data::PointId>(i));
+        index_->Match(row, bits);
+        ids.clear();
+        Rssc::BitsToIds(bits, k_, ids);
+        const int c = ids.empty()       ? -1
+                      : ids.size() == 1 ? static_cast<int>(ids[0])
+                                        : -2;
+        fn(first + i, row, c);
+      }
+      return Status::OK();
+    });
+  }
+
+  const BinaryDatasetReader& reader_;
+  const size_t block_rows_;
+  const size_t d_;
+  const std::function<void()>& before_support_scan_;
+  size_t passes_ = 0;
+  size_t k_ = 0;
+  std::unique_ptr<Rssc> index_;
+  std::vector<std::vector<double>> mins_;
+  std::vector<std::vector<double>> maxs_;
+};
+
+}  // namespace
+
 StreamingLightPipeline::StreamingLightPipeline(P3CParams params,
                                                size_t block_rows)
     : params_(params), block_rows_(std::max<size_t>(1, block_rows)) {
@@ -113,201 +279,29 @@ Result<StreamingLightResult> StreamingLightPipeline::Run(
   Stopwatch watch;
   Result<BinaryDatasetReader> reader = BinaryDatasetReader::Open(binary_path);
   if (!reader.ok()) return reader.status();
-  const uint64_t n = reader->num_points();
-  const size_t d = static_cast<size_t>(reader->num_dims());
-  if (n == 0 || d == 0) return Status::InvalidArgument("file is empty");
+  if (reader->num_points() == 0 || reader->num_dims() == 0) {
+    return Status::InvalidArgument("file is empty");
+  }
+  BlockStreamExecutor executor(*reader, block_rows_,
+                               before_support_scan_hook_);
+  Result<ModelResult> model = RunP3C(params_, executor);
+  if (!model.ok()) return model.status();
 
   StreamingLightResult result;
-  result.num_points = n;
-  result.num_dims = d;
-
-  // ---- Pass 1: histograms ----------------------------------------------
-  const size_t bins =
-      static_cast<size_t>(stats::NumBins(params_.binning, n));
-  std::vector<stats::Histogram> histograms(d, stats::Histogram(bins));
-  Status pass = reader->ForEachBlock(
-      block_rows_, [&](data::PointId first, const data::Dataset& block) {
-        (void)first;
-        if (!block.IsNormalized()) {
-          return Status::InvalidArgument(
-              "file contains values outside [0, 1]; normalize before "
-              "writing");
-        }
-        // Column-at-a-time over the row-major block (stride = d) so each
-        // attribute's whole batch goes through one kernel call.
-        const double* values = block.values().data();
-        for (size_t j = 0; j < d; ++j) {
-          histograms[j].AddStrided(values + j, block.num_points(), d);
-        }
-        return Status::OK();
-      });
-  P3C_RETURN_NOT_OK(pass);
-  ++result.passes;
-
-  // ---- Relevant intervals + cluster cores --------------------------------
-  const std::vector<Interval> relevant =
-      FindAllRelevantIntervals(histograms, params_.alpha_chi2);
-  // First failed support scan. SupportCountFn returns a plain count
-  // vector, so the counter cannot propagate a Status through
-  // GenerateClusterCores/ProveSuggestedIntervals; it records the
-  // failure here and Run checks after each call that consumes counts.
-  // (Returning all-zero supports *without* recording the error used to
-  // silently turn a mid-run I/O failure — truncation, corruption — into
-  // "no clusters found".)
-  Status counter_status;
-  SupportCountFn counter = [&](const std::vector<Signature>& sigs) {
-    std::vector<uint64_t> supports(sigs.size(), 0);
-    if (sigs.empty()) return supports;
-    if (before_support_scan_hook_) before_support_scan_hook_();
-    const Rssc index(sigs);
-    // Accumulate straight into the result: Rssc::Accumulate only needs
-    // one counter per live signature (no padded-lane copy-out).
-    Status scan = reader->ForEachBlock(
-        block_rows_, [&](data::PointId first, const data::Dataset& block) {
-          (void)first;
-          std::vector<uint64_t> scratch;
-          for (size_t i = 0; i < block.num_points(); ++i) {
-            index.Accumulate(block.Row(static_cast<data::PointId>(i)),
-                             scratch, supports);
-          }
-          return Status::OK();
-        });
-    if (!scan.ok()) {
-      if (counter_status.ok()) counter_status = std::move(scan);
-      supports.assign(sigs.size(), 0);
-      return supports;
-    }
-    ++result.passes;
-    return supports;
-  };
-  CoreDetectionResult detection =
-      GenerateClusterCores(relevant, n, params_, counter, nullptr);
-  P3C_RETURN_NOT_OK(counter_status);
-  result.core_stats = detection.stats;
-  if (detection.cores.empty()) {
-    result.seconds = watch.ElapsedSeconds();
-    return result;
+  result.num_points = reader->num_points();
+  result.num_dims = reader->num_dims();
+  result.core_stats = model->detection.stats;
+  const std::vector<ClusterCore>& cores = model->detection.cores;
+  for (size_t c = 0; c < cores.size(); ++c) {
+    result.clusters.push_back(StreamingCluster{
+        cores[c].signature, std::move(model->clusters[c].attrs),
+        std::move(model->clusters[c].intervals), cores[c].support,
+        model->members[c]});
   }
-  const size_t k = detection.cores.size();
-  std::vector<Signature> signatures;
-  signatures.reserve(k);
-  for (const auto& core : detection.cores) {
-    signatures.push_back(core.signature);
+  if (assignment_csv != nullptr && !cores.empty()) {
+    P3C_RETURN_NOT_OK(executor.WriteAssignments(*assignment_csv));
   }
-  const Rssc index(signatures);
-
-  // ---- Pass: unique-member counts (m') -----------------------------------
-  std::vector<uint64_t> unique_counts(k, 0);
-  pass = reader->ForEachBlock(
-      block_rows_, [&](data::PointId first, const data::Dataset& block) {
-        (void)first;
-        std::vector<uint64_t> bits;
-        std::vector<uint32_t> ids;
-        for (size_t i = 0; i < block.num_points(); ++i) {
-          index.Match(block.Row(static_cast<data::PointId>(i)), bits);
-          ids.clear();
-          Rssc::BitsToIds(bits, k, ids);
-          if (ids.size() == 1) ++unique_counts[ids[0]];
-        }
-        return Status::OK();
-      });
-  P3C_RETURN_NOT_OK(pass);
-  ++result.passes;
-
-  // ---- Pass: unique-member histograms + per-attribute min/max ------------
-  std::vector<std::vector<stats::Histogram>> member_histograms(k);
-  for (size_t c = 0; c < k; ++c) {
-    const size_t member_bins = static_cast<size_t>(stats::NumBins(
-        params_.binning, std::max<uint64_t>(1, unique_counts[c])));
-    member_histograms[c].assign(d, stats::Histogram(member_bins));
-  }
-  std::vector<std::vector<double>> mins(
-      k, std::vector<double>(d, std::numeric_limits<double>::infinity()));
-  std::vector<std::vector<double>> maxs(
-      k, std::vector<double>(d, -std::numeric_limits<double>::infinity()));
-  pass = reader->ForEachBlock(
-      block_rows_, [&](data::PointId first, const data::Dataset& block) {
-        (void)first;
-        std::vector<uint64_t> bits;
-        std::vector<uint32_t> ids;
-        for (size_t i = 0; i < block.num_points(); ++i) {
-          const auto row = block.Row(static_cast<data::PointId>(i));
-          index.Match(row, bits);
-          ids.clear();
-          Rssc::BitsToIds(bits, k, ids);
-          if (ids.size() != 1) continue;
-          const size_t c = ids[0];
-          for (size_t j = 0; j < d; ++j) {
-            member_histograms[c][j].Add(row[j]);
-            mins[c][j] = std::min(mins[c][j], row[j]);
-            maxs[c][j] = std::max(maxs[c][j], row[j]);
-          }
-        }
-        return Status::OK();
-      });
-  P3C_RETURN_NOT_OK(pass);
-  ++result.passes;
-
-  // ---- Attribute inspection with AI proving (one support pass) ----------
-  std::vector<std::vector<Interval>> suggestions(k);
-  for (size_t c = 0; c < k; ++c) {
-    if (unique_counts[c] == 0) continue;
-    suggestions[c] = SuggestNewIntervals(
-        detection.cores[c].signature, member_histograms[c],
-        params_.alpha_chi2);
-  }
-  const std::vector<std::vector<Interval>> accepted =
-      ProveSuggestedIntervals(detection.cores, suggestions, params_, counter);
-  P3C_RETURN_NOT_OK(counter_status);
-
-  // ---- Assemble clusters ---------------------------------------------------
-  for (size_t c = 0; c < k; ++c) {
-    StreamingCluster cluster;
-    cluster.core = detection.cores[c].signature;
-    cluster.support = detection.cores[c].support;
-    cluster.unique_members = unique_counts[c];
-    if (unique_counts[c] == 0) {
-      cluster.attrs = cluster.core.attrs();
-      cluster.intervals = cluster.core.intervals();
-    } else {
-      cluster.attrs = FinalAttributes(cluster.core, accepted[c]);
-      cluster.intervals.reserve(cluster.attrs.size());
-      for (size_t attr : cluster.attrs) {
-        cluster.intervals.push_back(
-            Interval{attr, mins[c][attr], maxs[c][attr]});
-      }
-    }
-    result.clusters.push_back(std::move(cluster));
-  }
-
-  // ---- Optional assignment pass -------------------------------------------
-  if (assignment_csv != nullptr) {
-    AtomicFileWriter writer(*assignment_csv);
-    P3C_RETURN_NOT_OK(writer.Open());
-    std::FILE* out = writer.stream();
-    std::fprintf(out, "point,cluster\n");
-    pass = reader->ForEachBlock(
-        block_rows_, [&](data::PointId first, const data::Dataset& block) {
-          std::vector<uint64_t> bits;
-          std::vector<uint32_t> ids;
-          for (size_t i = 0; i < block.num_points(); ++i) {
-            index.Match(block.Row(static_cast<data::PointId>(i)), bits);
-            ids.clear();
-            Rssc::BitsToIds(bits, k, ids);
-            const int value = ids.empty() ? -1
-                              : ids.size() == 1
-                                  ? static_cast<int>(ids[0])
-                                  : -2;
-            std::fprintf(out, "%llu,%d\n",
-                         static_cast<unsigned long long>(first + i), value);
-          }
-          return Status::OK();
-        });
-    P3C_RETURN_NOT_OK(pass);
-    P3C_RETURN_NOT_OK(writer.Commit());
-    ++result.passes;
-  }
-
+  result.passes = executor.passes();
   result.seconds = watch.ElapsedSeconds();
   return result;
 }

@@ -69,19 +69,19 @@ struct StreamingLightResult {
   double seconds = 0.0;
 };
 
-/// Out-of-core P3C+-Light: the Light pipeline (§6) executed in a
-/// constant number of sequential passes over a binary dataset file with
-/// memory bounded by O(histograms + candidate signatures + block),
-/// independent of n:
+/// Out-of-core P3C+-Light: core::RunP3C (Light, §6) over the block-stream
+/// executor, a constant number of sequential passes over a binary file
+/// with memory O(histograms + candidate signatures + block), whatever n:
 ///
-///   pass 1            histograms (bins from the header's n)
-///   passes 2..b+1     one support-counting scan per proving batch
-///   pass b+2          per-core unique-member counts (m')
-///   pass b+3          unique-member histograms + per-attribute min/max
-///   pass b+4          AI-proving support counts
+///   pass 1            Histograms (bins from the header's n)
+///   passes 2..b+1     CountSupports, one scan per proving batch
+///   pass b+2          LightMembership: per-core m' counts
+///   pass b+3          MemberHistograms, fused with per-attribute min/max
+///   pass b+4          CountSupports for AI proving (when suggested)
+///   (none)            Tighten reads the min/max of pass b+3
 ///
-/// The result matches core::P3CPipeline{LightParams()} on the same data
-/// except that point lists are summarized as counts.
+/// The result matches core::P3CPipeline{params} with params.light on the
+/// same data, except that point lists are summarized as counts.
 class StreamingLightPipeline {
  public:
   explicit StreamingLightPipeline(P3CParams params = StreamingLightParams(),

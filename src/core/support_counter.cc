@@ -20,26 +20,27 @@ TrackedCounts MakeTrackedCounts(size_t k) {
                            resource::MemScope::kSupportPartials));
 }
 
-/// Runs `fn(task, begin, end)` over `n` points split into contiguous
-/// ranges, serial when pool is null.
-template <typename Fn>
-size_t ForEachRange(size_t n, ThreadPool* pool, const Fn& fn) {
-  if (pool == nullptr || n == 0) {
-    fn(0, 0, n);
-    return 1;
-  }
-  const size_t num_tasks = std::min(n, pool->num_threads() * 4);
-  pool->ParallelFor(num_tasks, [&](size_t task) {
-    const size_t begin = n * task / num_tasks;
-    const size_t end = n * (task + 1) / num_tasks;
-    fn(task, begin, end);
+/// Range-parallel per-signature counts over every row of `dataset`:
+/// `count_row(row, scratch, local)` adds the row's matches to `local`.
+template <typename CountRow>
+std::vector<uint64_t> SumCounts(const data::Dataset& dataset, size_t k,
+                                ThreadPool* pool, const CountRow& count_row) {
+  const size_t n = dataset.num_points();
+  // One counter per live signature — Rssc::Accumulate never touches the
+  // padding lanes of its last word (see rssc.h).
+  std::vector<TrackedCounts> partials(NumTasks(n, pool), MakeTrackedCounts(k));
+  ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
+    std::vector<uint64_t> scratch;
+    auto& local = partials[task];
+    for (size_t i = begin; i < end; ++i) {
+      count_row(dataset.Row(static_cast<data::PointId>(i)), scratch, local);
+    }
   });
-  return num_tasks;
-}
-
-size_t NumTasks(size_t n, ThreadPool* pool) {
-  if (pool == nullptr || n == 0) return 1;
-  return std::min(n, pool->num_threads() * 4);
+  std::vector<uint64_t> supports(k, 0);
+  for (const auto& local : partials) {
+    for (size_t j = 0; j < k; ++j) supports[j] += local[j];
+  }
+  return supports;
 }
 
 }  // namespace
@@ -47,53 +48,24 @@ size_t NumTasks(size_t n, ThreadPool* pool) {
 std::vector<uint64_t> CountSupports(const data::Dataset& dataset,
                                     const std::vector<Signature>& signatures,
                                     ThreadPool* pool) {
-  const size_t k = signatures.size();
-  if (k == 0) return {};
+  if (signatures.empty()) return {};
   const Rssc index(signatures);
-  const size_t n = dataset.num_points();
-
-  const size_t num_tasks = NumTasks(n, pool);
-  // One counter per live signature — Rssc::Accumulate never touches the
-  // padding lanes of its last word (see rssc.h).
-  std::vector<TrackedCounts> partials(num_tasks, MakeTrackedCounts(k));
-  ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
-    std::vector<uint64_t> scratch;
-    auto& local = partials[task];
-    for (size_t i = begin; i < end; ++i) {
-      index.Accumulate(dataset.Row(static_cast<data::PointId>(i)), scratch,
-                       local);
-    }
-  });
-
-  std::vector<uint64_t> supports(k, 0);
-  for (const auto& local : partials) {
-    for (size_t j = 0; j < k; ++j) supports[j] += local[j];
-  }
-  return supports;
+  return SumCounts(dataset, signatures.size(), pool,
+                   [&](auto row, auto& scratch, auto& local) {
+                     index.Accumulate(row, scratch, local);
+                   });
 }
 
 std::vector<uint64_t> CountSupportsNaive(
     const data::Dataset& dataset, const std::vector<Signature>& signatures,
     ThreadPool* pool) {
-  const size_t k = signatures.size();
-  if (k == 0) return {};
-  const size_t n = dataset.num_points();
-  const size_t num_tasks = NumTasks(n, pool);
-  std::vector<TrackedCounts> partials(num_tasks, MakeTrackedCounts(k));
-  ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
-    auto& local = partials[task];
-    for (size_t i = begin; i < end; ++i) {
-      const auto row = dataset.Row(static_cast<data::PointId>(i));
-      for (size_t j = 0; j < k; ++j) {
-        if (signatures[j].Contains(row)) ++local[j];
-      }
-    }
-  });
-  std::vector<uint64_t> supports(k, 0);
-  for (const auto& local : partials) {
-    for (size_t j = 0; j < k; ++j) supports[j] += local[j];
-  }
-  return supports;
+  if (signatures.empty()) return {};
+  return SumCounts(dataset, signatures.size(), pool,
+                   [&](auto row, auto&, auto& local) {
+                     for (size_t j = 0; j < signatures.size(); ++j) {
+                       if (signatures[j].Contains(row)) ++local[j];
+                     }
+                   });
 }
 
 std::vector<std::vector<data::PointId>> ComputeSupportSets(
@@ -104,9 +76,8 @@ std::vector<std::vector<data::PointId>> ComputeSupportSets(
   if (k == 0) return sets;
   const Rssc index(signatures);
   const size_t n = dataset.num_points();
-  const size_t num_tasks = NumTasks(n, pool);
   std::vector<std::vector<std::vector<data::PointId>>> partials(
-      num_tasks, std::vector<std::vector<data::PointId>>(k));
+      NumTasks(n, pool), std::vector<std::vector<data::PointId>>(k));
   ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
     std::vector<uint64_t> bits;
     std::vector<uint32_t> ids;

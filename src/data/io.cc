@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -92,6 +93,13 @@ Result<Dataset> ReadCsv(const std::string& path) {
             "%s:%zu: non-numeric field '%s'", path.c_str(), line_no,
             stripped.c_str()));
       }
+      // nan, inf and overflowing literals (1e999 parses as inf) would
+      // only fail much later, as "not normalized".
+      if (!std::isfinite(v)) {
+        return Status::IOError(StringPrintf("%s:%zu:%zu: value is not finite",
+                                            path.c_str(), line_no,
+                                            row.size() + 1));
+      }
       row.push_back(v);
     }
     Status st = out.AppendRow(row);
@@ -102,6 +110,19 @@ Result<Dataset> ReadCsv(const std::string& path) {
     if (ch == EOF) break;
   }
   return out;
+}
+
+Result<Dataset> ReadDataset(const std::string& path) {
+  File f(path, "rb");
+  if (!f.ok()) {
+    return Status::IOError("cannot open for reading: " + path + ": " +
+                           std::strerror(errno));
+  }
+  char magic[sizeof(kMagic)];
+  const bool binary =
+      std::fread(magic, 1, sizeof(magic), f.get()) == sizeof(magic) &&
+      std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
+  return binary ? ReadBinary(path) : ReadCsv(path);
 }
 
 uint64_t Fnv1a64(const void* data, size_t len, uint64_t state) {

@@ -15,7 +15,9 @@ namespace p3c::data {
 Status WriteCsv(const Dataset& dataset, const std::string& path);
 
 /// Reads a headerless numeric CSV; every line must have the same number
-/// of fields. Empty files yield an empty dataset.
+/// of fields. Empty files yield an empty dataset. A field that is nan,
+/// inf or overflows a double fails with "path:line:column: value is not
+/// finite" (1-based line and field index).
 Result<Dataset> ReadCsv(const std::string& path);
 
 /// Writes the dataset in the library's binary container (version 2):
@@ -30,6 +32,11 @@ Status WriteBinary(const Dataset& dataset, const std::string& path);
 /// version, exact payload size, and (version >= 2) the payload checksum.
 /// Version-1 files (no checksum field) are still readable.
 Result<Dataset> ReadBinary(const std::string& path);
+
+/// Reads either format, chosen by content rather than by file name: the
+/// binary container when the file starts with the "P3CD" magic, CSV
+/// otherwise.
+Result<Dataset> ReadDataset(const std::string& path);
 
 /// 64-bit FNV-1a over `len` bytes; pass a previous return value as
 /// `state` to hash incrementally (block readers).

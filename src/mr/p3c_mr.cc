@@ -10,9 +10,8 @@
 #include "src/common/stopwatch.h"
 #include "src/common/string_util.h"
 #include "src/common/trace.h"
-#include "src/core/attribute_inspection.h"
+#include "src/core/driver.h"
 #include "src/core/gmm.h"
-#include "src/core/relevant_intervals.h"
 #include "src/core/rssc.h"
 #include "src/linalg/cholesky.h"
 #include "src/mr/checkpoint.h"
@@ -34,16 +33,6 @@ bool IsRetryableJobFailure(const Status& status) {
 
 namespace {
 
-/// Runs one MR job under the pipeline's job-retry policy: retryable
-/// failures re-run the whole job (failed jobs leave no side effects, so
-/// this is safe), fatal ones and exhausted policies surface a Status
-/// naming the pipeline phase and the attempt count on top of the
-/// engine's job/task detail. A phase that has already consumed
-/// JobRetryPolicy::phase_budget_seconds of wall-clock time stops
-/// retrying and fails with a phase-tagged kDeadlineExceeded — a
-/// pathological phase (every attempt deadline-killed, every job re-run)
-/// degrades into a bounded, explained failure instead of wedging the
-/// caller.
 /// RAII memory-phase window on the global MemoryTracker. Repeated
 /// windows with the same name (job retries, the EM loop) max-merge into
 /// one mem.phase.<name>.peak_bytes gauge; inactive (tracker off) it is
@@ -66,6 +55,16 @@ class PhaseMemWindow {
   bool active_ = false;
 };
 
+/// Runs one MR job under the pipeline's job-retry policy: retryable
+/// failures re-run the whole job (failed jobs leave no side effects, so
+/// this is safe), fatal ones and exhausted policies surface a Status
+/// naming the pipeline phase and the attempt count on top of the
+/// engine's job/task detail. A phase that has already consumed
+/// JobRetryPolicy::phase_budget_seconds of wall-clock time stops
+/// retrying and fails with a phase-tagged kDeadlineExceeded — a
+/// pathological phase (every attempt deadline-killed, every job re-run)
+/// degrades into a bounded, explained failure instead of wedging the
+/// caller.
 template <typename Fn>
 auto RunPipelineJob(const JobRetryPolicy& policy, const char* phase,
                     Fn&& fn) -> decltype(fn()) {
@@ -129,8 +128,6 @@ class CoreMembership : public MembershipFn {
     core::Rssc::BitsToIds(bits, k_, ids);
     for (uint32_t id : ids) out.emplace_back(id, 1.0);
   }
-
-  const core::Rssc& rssc() const { return rssc_; }
 
  private:
   const data::Dataset& dataset_;
@@ -281,6 +278,8 @@ struct ResumeState {
   std::optional<SupportSetsPhaseState> support_sets;  // light pipeline
   std::optional<GmmPhaseState> gmm;                   // full pipeline
   std::optional<MembershipPhaseState> od;             // full pipeline
+  /// Framework counters persisted with the last completed phase.
+  MetricBag counters;
 };
 
 /// Phase names in pipeline order. The parameter hash pins `light`, so a
@@ -290,6 +289,15 @@ std::vector<std::string> ExpectedPhaseNames(bool light) {
   if (light) return {"histogram", "cluster-cores", "support-sets"};
   return {"histogram", "cluster-cores", "em-refinement",
           "outlier-detection"};
+}
+
+template <typename State>
+Status DecodeInto(Result<State> decoded, std::optional<State>& slot,
+                  MetricBag& counters) {
+  if (!decoded.ok()) return decoded.status();
+  slot = std::move(decoded).value();
+  counters = slot->counters;
+  return Status::OK();
 }
 
 ResumeState DecodeResumeState(CheckpointManager& ckpt, bool light,
@@ -313,40 +321,20 @@ ResumeState DecodeResumeState(CheckpointManager& ckpt, bool light,
     const std::string& payload = ckpt.PhasePayload(i);
     Status decode_status;
     if (name == "histogram") {
-      auto decoded = DecodeHistogramState(payload);
-      if (decoded.ok()) {
-        state.histogram = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
+      decode_status = DecodeInto(DecodeHistogramState(payload),
+                                 state.histogram, state.counters);
     } else if (name == "cluster-cores") {
-      auto decoded = DecodeCoresState(payload);
-      if (decoded.ok()) {
-        state.cores = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
+      decode_status =
+          DecodeInto(DecodeCoresState(payload), state.cores, state.counters);
     } else if (name == "support-sets") {
-      auto decoded = DecodeSupportSetsState(payload);
-      if (decoded.ok()) {
-        state.support_sets = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
+      decode_status = DecodeInto(DecodeSupportSetsState(payload),
+                                 state.support_sets, state.counters);
     } else if (name == "em-refinement") {
-      auto decoded = DecodeGmmState(payload);
-      if (decoded.ok()) {
-        state.gmm = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
+      decode_status =
+          DecodeInto(DecodeGmmState(payload), state.gmm, state.counters);
     } else {  // "outlier-detection"
-      auto decoded = DecodeMembershipState(payload);
-      if (decoded.ok()) {
-        state.od = std::move(decoded).value();
-      } else {
-        decode_status = decoded.status();
-      }
+      decode_status =
+          DecodeInto(DecodeMembershipState(payload), state.od, state.counters);
     }
     if (!decode_status.ok()) {
       ckpt.DiscardAll(StringPrintf("phase '%s' payload undecodable: %s",
@@ -385,6 +373,344 @@ ResumeState DecodeResumeState(CheckpointManager& ckpt, bool light,
   }
   return state;
 }
+
+/// The MapReduce executor: every pass is one MR job on the LocalRunner,
+/// run under the job-retry policy. It also owns everything durable: the
+/// checkpoint phases ("histogram", "cluster-cores", then "support-sets"
+/// or "em-refinement" + "outlier-detection") are restored from `resume`
+/// or committed as they finish, each commit followed by the fault
+/// injector's phase hook and a cancellation poll.
+class MrExecutor final : public core::PassExecutor {
+ public:
+  MrExecutor(LocalRunner& runner, const data::Dataset& dataset,
+             const P3CMROptions& options, Counters& counters,
+             CheckpointManager& ckpt, ResumeState& resume)
+      : runner_(runner),
+        dataset_(dataset),
+        options_(options),
+        counters_(counters),
+        ckpt_(ckpt),
+        resume_(resume),
+        completed_(ckpt.num_completed()) {}
+
+  uint64_t num_points() const override { return dataset_.num_points(); }
+  ThreadPool* pool() override { return &runner_.pool(); }
+
+  /// Cooperative shutdown: between phases the driver's own token is the
+  /// cancellation authority (task-level tokens stop individual attempts;
+  /// this stops the pipeline). Polled right after each commit, so a
+  /// SIGTERM'd run exits with every finished phase already durable.
+  Status CheckCancel(const char* after_phase) const {
+    if (!options_.cancel.cancelled()) return Status::OK();
+    return Status::Cancelled(StringPrintf(
+        "pipeline cancelled after phase '%s'%s", after_phase,
+        ckpt_.enabled() ? "; completed phases are checkpointed and the run "
+                          "can resume from the checkpoint directory"
+                        : ""));
+  }
+
+  Result<std::vector<stats::Histogram>> Histograms(
+      stats::BinningRule rule) override {
+    if (completed_ >= 1) return std::move(resume_.histogram->histograms);
+    auto histograms = Job("histogram", [&] {
+      return RunHistogramJob(runner_, dataset_, rule);
+    });
+    if (!histograms.ok()) return histograms;
+    P3C_RETURN_NOT_OK(EndPhase("histogram", [&] {
+      return EncodeHistogramState({*histograms, counters_.Snapshot()});
+    }));
+    return histograms;
+  }
+
+  Result<std::vector<uint64_t>> CountSupports(
+      const std::vector<core::Signature>& sigs) override {
+    // Polled per batch, so a mid-generation SIGTERM stops at the next
+    // batch instead of grinding through the remaining proving rounds.
+    if (options_.cancel.cancelled()) {
+      return Status::Cancelled("pipeline cancelled during support counting");
+    }
+    return Job("support-count",
+               [&] { return RunSupportJob(runner_, dataset_, sigs); });
+  }
+
+  /// The whole candidate-generation / support-counting / core-detection
+  /// block checkpoints as one "cluster-cores" phase: its state (the
+  /// proven cores and their stats) is small, while mid-generation state
+  /// (the A-priori lattice frontier) is not worth persisting.
+  Result<core::CoreDetectionResult> ClusterCores(
+      const std::function<Result<core::CoreDetectionResult>()>& generate)
+      override {
+    if (completed_ >= 2) {
+      return core::CoreDetectionResult{std::move(resume_.cores->cores),
+                                       resume_.cores->stats};
+    }
+    Result<core::CoreDetectionResult> detection = generate();
+    if (!detection.ok()) return detection;
+    P3C_RETURN_NOT_OK(EndPhase("cluster-cores", [&] {
+      return EncodeCoresState(
+          {detection->stats, detection->cores, counters_.Snapshot()});
+    }));
+    return detection;
+  }
+
+  Result<std::vector<uint64_t>> LightMembership(
+      const std::vector<core::Signature>& signatures) override {
+    if (completed_ >= 3) {
+      reported_ = std::move(resume_.support_sets->support_sets);
+      membership_ = std::move(resume_.support_sets->unique_assignment);
+    } else {
+      auto sets = Job("support-sets", [&] {
+        return RunSupportSetJob(runner_, dataset_, signatures);
+      });
+      if (!sets.ok()) return sets.status();
+      reported_ = std::move(sets->support_sets);
+      membership_ = std::move(sets->unique_assignment);
+      P3C_RETURN_NOT_OK(EndPhase("support-sets", [&] {
+        return EncodeSupportSetsState(
+            {reported_, membership_, counters_.Snapshot()});
+      }));
+    }
+    // m': multi-core points carry -2 and are excluded from histograms and
+    // tightening by the jobs' `c < 0` guard.
+    return MemberCounts(signatures.size());
+  }
+
+  Result<std::vector<uint64_t>> Refine(
+      const std::vector<core::ClusterCore>& cores) override {
+    const size_t k = cores.size();
+    if (completed_ >= 4) {
+      // Both refinement phases checkpointed: attribute inspection and
+      // tightening run on the membership alone, the model is not needed.
+      membership_ = std::move(resume_.od->membership);
+    } else {
+      // Resume after 'em-refinement': the converged model was persisted
+      // and outlier detection runs live.
+      Result<core::GmmModel> model =
+          completed_ >= 3
+              ? Result<core::GmmModel>(std::move(resume_.gmm->model))
+              : FitModel(cores);
+      if (!model.ok()) return model.status();
+      auto od = DetectOutliers(*model);
+      if (!od.ok()) return od.status();
+      membership_ = std::move(od).value();
+      P3C_RETURN_NOT_OK(EndPhase("outlier-detection", [&] {
+        return EncodeMembershipState({membership_, counters_.Snapshot()});
+      }));
+    }
+    reported_ = core::GroupByCluster(membership_, k);
+    return MemberCounts(k);
+  }
+
+  Result<std::vector<std::vector<stats::Histogram>>> MemberHistograms(
+      const std::vector<size_t>& bins) override {
+    return Job("cluster-histograms", [&] {
+      return RunClusterHistogramJob(runner_, dataset_, membership_,
+                                    bins.size(), bins);
+    });
+  }
+
+  Result<std::vector<std::vector<core::Interval>>> Tighten(
+      const std::vector<std::vector<size_t>>& attrs) override {
+    return Job("interval-tightening", [&] {
+      return RunTighteningJob(runner_, dataset_, membership_, attrs);
+    });
+  }
+
+  std::vector<std::vector<data::PointId>> TakeReported() {
+    return std::move(reported_);
+  }
+
+ private:
+  template <typename Fn>
+  auto Job(const char* phase, Fn&& fn) -> decltype(fn()) {
+    return RunPipelineJob(options_.retry, phase, std::forward<Fn>(fn));
+  }
+
+  /// Commits one finished phase (when checkpointing) and then gives the
+  /// fault injector its crash point: the checkpoint is durable when the
+  /// hook fires, so an injected failure here models a driver killed at
+  /// the phase boundary. Then polls cancellation.
+  template <typename Encode>
+  Status EndPhase(const char* name, const Encode& encode) {
+    if (ckpt_.enabled()) {
+      P3C_RETURN_NOT_OK(ckpt_.CommitPhase(name, encode()));
+      if (options_.runner.fault_injector != nullptr) {
+        const std::string phase_name(name);
+        P3C_RETURN_NOT_OK(options_.runner.fault_injector->OnPhaseCommit(
+            PhaseCommit{phase_name, ckpt_.num_completed() - 1}));
+      }
+    }
+    return CheckCancel(name);
+  }
+
+  std::vector<uint64_t> MemberCounts(size_t k) const {
+    std::vector<uint64_t> counts(k, 0);
+    for (int32_t c : membership_) {
+      if (c >= 0) ++counts[static_cast<size_t>(c)];
+    }
+    return counts;
+  }
+
+  /// One EM round of §5.4 (EM-init rounds 1 and 2, and every EM step):
+  /// the moment job, interim means for the components that received
+  /// mass (w >= 1e-9), the covariance job around those means,
+  /// UpdateModel, and finally the interim means written back — so a
+  /// component with mass but a degenerate weight denominator (denom <=
+  /// 1e-12, which UpdateModel skips) still moves its mean. Returns the
+  /// moment sums (the EM loop reads their log-likelihood).
+  Result<MomentSums> EmRound(const char* phase, const MembershipFn& membership,
+                             const char* moment_job, const char* cov_job,
+                             core::GmmModel& model) {
+    auto moments = Job(phase, [&] {
+      return RunMomentJob(runner_, dataset_, model, membership, moment_job);
+    });
+    if (!moments.ok()) return moments;
+    const MomentSums& m = *moments;
+    core::GmmModel interim = model;
+    for (size_t c = 0; c < model.num_components(); ++c) {
+      if (m.w[c] < 1e-9) continue;
+      for (size_t j = 0; j < model.dim(); ++j) {
+        interim.components[c].mean[j] = m.lsum[c][j] / m.w[c];
+      }
+    }
+    auto covs = Job(phase, [&] {
+      return RunCovarianceJob(runner_, dataset_, interim, membership,
+                              Means(interim), cov_job);
+    });
+    if (!covs.ok()) return covs.status();
+    UpdateModel(m, *covs, model);
+    for (size_t c = 0; c < model.num_components(); ++c) {
+      if (m.w[c] >= 1e-9) model.components[c].mean = interim.components[c].mean;
+    }
+    return moments;
+  }
+
+  /// EM initialization (two rounds of two jobs) and EM steps (two jobs
+  /// each) of §5.4, committed as the "em-refinement" phase.
+  Result<core::GmmModel> FitModel(const std::vector<core::ClusterCore>& cores) {
+    const core::P3CParams& params = options_.params;
+    const size_t k = cores.size();
+    core::GmmModel model;
+    model.arel = core::RelevantAttributeUnion(cores);
+    const size_t dim = model.dim();
+    model.components.assign(
+        k, core::GaussianComponent{linalg::Vector(dim, 0.5),
+                                   linalg::Matrix::Identity(dim).Scale(1e-2),
+                                   1.0 / static_cast<double>(k)});
+
+    std::vector<core::Signature> signatures;
+    for (const auto& core : cores) signatures.push_back(core.signature);
+    CoreMembership core_membership(dataset_, signatures);
+    auto m1 = EmRound("em-init", core_membership, "em-init-1a", "em-init-1b",
+                      model);
+    if (!m1.ok()) return m1.status();
+    Result<core::GmmEvaluator> eval1 =
+        core::GmmEvaluator::Make(model, params.covariance_ridge);
+    if (!eval1.ok()) return eval1.status();
+    OrphanAssigningMembership full_membership(core_membership, *eval1);
+    auto m2 = EmRound("em-init", full_membership, "em-init-2a", "em-init-2b",
+                      model);
+    if (!m2.ok()) return m2.status();
+
+    double prev_ll = -std::numeric_limits<double>::infinity();
+    for (size_t iter = 0; iter < params.max_em_iterations; ++iter) {
+      Result<core::GmmEvaluator> evaluator =
+          core::GmmEvaluator::Make(model, params.covariance_ridge);
+      if (!evaluator.ok()) return evaluator.status();
+      SoftMembership soft(*evaluator);
+      auto moments =
+          EmRound("em-step", soft, "em-step-means", "em-step-covs", model);
+      if (!moments.ok()) return moments.status();
+      const double denom = std::fabs(prev_ll) + 1e-12;
+      if (iter > 0 && std::fabs(moments->log_likelihood - prev_ll) / denom <
+                          params.em_tolerance) {
+        break;
+      }
+      prev_ll = moments->log_likelihood;
+    }
+
+    P3C_RETURN_NOT_OK(EndPhase("em-refinement", [&] {
+      return EncodeGmmState({model, counters_.Snapshot()});
+    }));
+    return model;
+  }
+
+  /// §5.5: naive or MVB statistics (ball job + two statistics jobs:
+  /// "three MR jobs"), then the map-only OD job. Returns the per-point
+  /// membership, -1 for outliers.
+  Result<std::vector<int32_t>> DetectOutliers(const core::GmmModel& model) {
+    const core::P3CParams& params = options_.params;
+    const size_t k = model.num_components();
+    const size_t dim = model.dim();
+    Result<core::GmmEvaluator> evaluator =
+        core::GmmEvaluator::Make(model, params.covariance_ridge);
+    if (!evaluator.ok()) return evaluator.status();
+    const double critical = stats::ChiSquaredQuantile(
+        1.0 - params.outlier_alpha, static_cast<double>(dim));
+
+    std::vector<linalg::Vector> centers;
+    std::vector<linalg::Matrix> covs;
+    if (params.outlier == core::OutlierMode::kNaive) {
+      centers = Means(model);
+      covs.reserve(k);
+      for (const auto& comp : model.components) covs.push_back(comp.cov);
+    } else {
+      auto balls_result = Job("mvb", [&] {
+        return RunMvbBallJob(runner_, dataset_, model, *evaluator);
+      });
+      if (!balls_result.ok()) return balls_result.status();
+      const std::vector<MvbBall>& balls = *balls_result;
+      BallMembership ball_membership(*evaluator, balls);
+      auto mb_result = Job("mvb", [&] {
+        return RunMomentJob(runner_, dataset_, model, ball_membership,
+                            "mvb-means");
+      });
+      if (!mb_result.ok()) return mb_result.status();
+      const MomentSums& mb = *mb_result;
+      centers.assign(k, linalg::Vector(dim, 0.5));
+      for (size_t c = 0; c < k; ++c) {
+        if (mb.w[c] < 1e-9) {
+          centers[c] = balls[c].center.empty() ? model.components[c].mean
+                                               : balls[c].center;
+          continue;
+        }
+        for (size_t j = 0; j < dim; ++j) {
+          centers[c][j] = mb.lsum[c][j] / mb.w[c];
+        }
+      }
+      auto cov_sums = Job("mvb", [&] {
+        return RunCovarianceJob(runner_, dataset_, model, ball_membership,
+                                centers, "mvb-covs");
+      });
+      if (!cov_sums.ok()) return cov_sums.status();
+      covs.assign(k, linalg::Matrix::Identity(dim).Scale(1e-2));
+      for (size_t c = 0; c < k; ++c) {
+        const double denom = mb.w[c] * mb.w[c] - mb.w2[c];
+        if (mb.w[c] >= 1e-9 && denom > 1e-12) {
+          covs[c] = (*cov_sums)[c].Scale(mb.w[c] / denom);
+        }
+        core::ApplyMvbConsistencyCorrection(covs[c], dim);
+      }
+    }
+    Result<std::vector<linalg::Cholesky>> factors =
+        FactorizeAll(covs, params.covariance_ridge);
+    if (!factors.ok()) return factors.status();
+    return Job("outlier-detection", [&] {
+      return RunOdJob(runner_, dataset_, model, *evaluator, centers, *factors,
+                      critical);
+    });
+  }
+
+  LocalRunner& runner_;
+  const data::Dataset& dataset_;
+  const P3CMROptions& options_;
+  Counters& counters_;
+  CheckpointManager& ckpt_;
+  ResumeState& resume_;
+  const size_t completed_;
+  std::vector<int32_t> membership_;  // per point: cluster or negative
+  std::vector<std::vector<data::PointId>> reported_;
+};
 
 }  // namespace
 
@@ -439,11 +765,8 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
         "OutlierMode::kMCD is serial-only (its concentration steps are not "
         "record-parallel); use core::P3CPipeline, or kMVB here");
   }
-  LocalRunner& runner = *runner_;
-  const JobRetryPolicy& retry = options_.retry;
-  core::ClusteringResult result;
 
-  // ---- 0. Checkpoint scan (DESIGN.md §13) ---------------------------------
+  // ---- Checkpoint scan (DESIGN.md §13) ------------------------------------
   CheckpointManager::Options ckpt_options;
   ckpt_options.dir = options_.checkpoint_dir;
   if (!options_.checkpoint_dir.empty()) {
@@ -463,13 +786,7 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
     // the final counter JSON matches an uninterrupted run's byte for
     // byte. The resume bookkeeping itself goes to driver_metrics_ only.
     const std::string& last = ckpt.PhaseName(completed - 1);
-    const MetricBag* snapshot = nullptr;
-    if (last == "histogram") snapshot = &resume.histogram->counters;
-    if (last == "cluster-cores") snapshot = &resume.cores->counters;
-    if (last == "support-sets") snapshot = &resume.support_sets->counters;
-    if (last == "em-refinement") snapshot = &resume.gmm->counters;
-    if (last == "outlier-detection") snapshot = &resume.od->counters;
-    if (snapshot != nullptr) counters_.MergeBag(*snapshot);
+    counters_.MergeBag(resume.counters);
     driver_metrics_.SetGauge("checkpoint.resumed_from_phase",
                              static_cast<double>(completed));
     if (Tracer::Global().enabled()) {
@@ -483,415 +800,12 @@ Result<core::ClusteringResult> P3CMR::Cluster(const data::Dataset& dataset) {
                    << "'";
   }
 
-  // Commits one finished phase and then gives the fault injector its
-  // crash point: the checkpoint is durable when the hook fires, so an
-  // injected failure here models a driver killed at the phase boundary.
-  auto commit_phase = [&](const char* name,
-                          const std::string& payload) -> Status {
-    P3C_RETURN_NOT_OK(ckpt.CommitPhase(name, payload));
-    if (options_.runner.fault_injector != nullptr) {
-      const std::string phase_name(name);
-      P3C_RETURN_NOT_OK(options_.runner.fault_injector->OnPhaseCommit(
-          PhaseCommit{phase_name, ckpt.num_completed() - 1}));
-    }
-    return Status::OK();
-  };
-  // Cooperative shutdown: between phases the driver's own token is the
-  // cancellation authority (task-level tokens stop individual attempts;
-  // this stops the pipeline). Checked right after each commit, so a
-  // SIGTERM'd run exits with every finished phase already durable.
-  auto check_cancel = [&](const char* after_phase) -> Status {
-    if (!options_.cancel.cancelled()) return Status::OK();
-    return Status::Cancelled(StringPrintf(
-        "pipeline cancelled after phase '%s'%s", after_phase,
-        ckpt.enabled() ? "; completed phases are checkpointed and the run "
-                         "can resume from the checkpoint directory"
-                       : ""));
-  };
-  P3C_RETURN_NOT_OK(check_cancel("<none>"));
-
-  // ---- 1. Histogram job (§5.1) -------------------------------------------
-  std::vector<stats::Histogram> histograms;
-  if (completed >= 1) {
-    histograms = std::move(resume.histogram->histograms);
-  } else {
-    auto histograms_result = RunPipelineJob(retry, "histogram", [&] {
-      return RunHistogramJob(runner, dataset, params.binning);
-    });
-    if (!histograms_result.ok()) return histograms_result.status();
-    histograms = std::move(histograms_result).value();
-    if (ckpt.enabled()) {
-      HistogramPhaseState state;
-      state.histograms = histograms;
-      state.counters = counters_.Snapshot();
-      P3C_RETURN_NOT_OK(
-          commit_phase("histogram", EncodeHistogramState(state)));
-    }
-    P3C_RETURN_NOT_OK(check_cancel("histogram"));
-  }
-
-  // ---- 2. Relevant intervals — driver-side, "computationally cheap" (§5.2)
-  const std::vector<core::Interval> relevant =
-      core::FindAllRelevantIntervals(histograms, params.alpha_chi2);
-
-  // ---- 3. Cluster-core generation with support jobs (§5.3) ----------------
-  // core::SupportCountFn cannot carry a Status, so the counter parks the
-  // first unrecoverable job failure here and returns zero supports; the
-  // driver checks after each counter-driven stage. Zero supports prove
-  // nothing, so no wrong cores are derived from a failed job. The
-  // cancellation poll makes mid-generation SIGTERM stop at the next
-  // batch instead of grinding through the remaining proving rounds.
-  Status support_job_error;
-  core::SupportCountFn counter =
-      [&](const std::vector<core::Signature>& sigs) {
-        if (options_.cancel.cancelled()) {
-          if (support_job_error.ok()) {
-            support_job_error =
-                Status::Cancelled("pipeline cancelled during support counting");
-          }
-          return std::vector<uint64_t>(sigs.size(), 0);
-        }
-        auto supports = RunPipelineJob(retry, "support-count", [&] {
-          return RunSupportJob(runner, dataset, sigs);
-        });
-        if (!supports.ok()) {
-          if (support_job_error.ok()) support_job_error = supports.status();
-          return std::vector<uint64_t>(sigs.size(), 0);
-        }
-        return std::move(supports).value();
-      };
-  // The whole candidate-generation / support-counting / core-detection
-  // block checkpoints as one "cluster-cores" phase: its driver state
-  // (the proven cores and their stats) is small, while mid-generation
-  // state (the A-priori lattice frontier) is not worth persisting.
-  core::CoreDetectionResult detection;
-  if (completed >= 2) {
-    detection.stats = resume.cores->stats;
-    detection.cores = std::move(resume.cores->cores);
-  } else {
-    detection = core::GenerateClusterCores(
-        relevant, dataset.num_points(), params, counter, &runner.pool());
-    if (!support_job_error.ok()) return support_job_error;
-    if (ckpt.enabled()) {
-      CoresPhaseState state;
-      state.stats = detection.stats;
-      state.cores = detection.cores;
-      state.counters = counters_.Snapshot();
-      P3C_RETURN_NOT_OK(
-          commit_phase("cluster-cores", EncodeCoresState(state)));
-    }
-    P3C_RETURN_NOT_OK(check_cancel("cluster-cores"));
-  }
-  result.core_stats = detection.stats;
-  result.cores = detection.cores;
-  if (detection.cores.empty()) {
-    result.seconds = watch.ElapsedSeconds();
-    return result;
-  }
-  result.arel = core::RelevantAttributeUnion(detection.cores);
-
-  const size_t k = detection.cores.size();
-  std::vector<core::Signature> signatures;
-  signatures.reserve(k);
-  for (const auto& core : detection.cores) signatures.push_back(core.signature);
-
-  std::vector<int32_t> membership;  // per point: cluster or negative
-  std::vector<std::vector<data::PointId>> reported_points(k);
-
-  if (params.light) {
-    // ---- Light path (§6) --------------------------------------------------
-    if (completed >= 3) {
-      reported_points = std::move(resume.support_sets->support_sets);
-      membership = std::move(resume.support_sets->unique_assignment);
-    } else {
-      auto sets = RunPipelineJob(retry, "support-sets", [&] {
-        return RunSupportSetJob(runner, dataset, signatures);
-      });
-      if (!sets.ok()) return sets.status();
-      reported_points = std::move(sets->support_sets);
-      membership = std::move(sets->unique_assignment);
-      if (ckpt.enabled()) {
-        SupportSetsPhaseState state;
-        state.support_sets = reported_points;
-        state.unique_assignment = membership;
-        state.counters = counters_.Snapshot();
-        P3C_RETURN_NOT_OK(
-            commit_phase("support-sets", EncodeSupportSetsState(state)));
-      }
-      P3C_RETURN_NOT_OK(check_cancel("support-sets"));
-    }
-    // m': multi-core points carry -2 and are excluded from histograms and
-    // tightening by the jobs' `c < 0` guard.
-  } else if (completed >= 4) {
-    // ---- Full path, both refinement phases checkpointed -------------------
-    // The model itself is no longer needed: attribute inspection and
-    // tightening run on the membership alone.
-    membership = std::move(resume.od->membership);
-    for (size_t i = 0; i < membership.size(); ++i) {
-      if (membership[i] >= 0) {
-        reported_points[static_cast<size_t>(membership[i])].push_back(
-            static_cast<data::PointId>(i));
-      }
-    }
-  } else {
-    core::GmmModel model;
-    const size_t dim = result.arel.size();
-    if (completed >= 3) {
-      // Resume: 'em-refinement' persisted the converged model; outlier
-      // detection below runs live.
-      model = std::move(resume.gmm->model);
-    } else {
-      // ---- EM initialization: two rounds of two jobs (§5.4) --------------
-      model.arel = result.arel;
-      model.components.assign(k,
-                              core::GaussianComponent{
-                                  linalg::Vector(dim, 0.5),
-                                  linalg::Matrix::Identity(dim).Scale(1e-2),
-                                  1.0 / static_cast<double>(k)});
-
-      CoreMembership core_membership(dataset, signatures);
-      auto m1_result = RunPipelineJob(retry, "em-init", [&] {
-        return RunMomentJob(runner, dataset, model, core_membership,
-                            "em-init-1a");
-      });
-      if (!m1_result.ok()) return m1_result.status();
-      MomentSums m1 = std::move(m1_result).value();
-      // Interim means for the covariance job.
-      {
-        core::GmmModel tmp = model;
-        for (size_t c = 0; c < k; ++c) {
-          if (m1.w[c] < 1e-9) continue;
-          for (size_t j = 0; j < dim; ++j) {
-            tmp.components[c].mean[j] = m1.lsum[c][j] / m1.w[c];
-          }
-        }
-        auto cov1 = RunPipelineJob(retry, "em-init", [&] {
-          return RunCovarianceJob(runner, dataset, tmp, core_membership,
-                                  Means(tmp), "em-init-1b");
-        });
-        if (!cov1.ok()) return cov1.status();
-        UpdateModel(m1, *cov1, model);
-        for (size_t c = 0; c < k; ++c) {
-          if (m1.w[c] >= 1e-9) {
-            model.components[c].mean = tmp.components[c].mean;
-          }
-        }
-      }
-      Result<core::GmmEvaluator> eval1 =
-          core::GmmEvaluator::Make(model, params.covariance_ridge);
-      if (!eval1.ok()) return eval1.status();
-      OrphanAssigningMembership full_membership(core_membership, *eval1);
-      auto m2_result = RunPipelineJob(retry, "em-init", [&] {
-        return RunMomentJob(runner, dataset, model, full_membership,
-                            "em-init-2a");
-      });
-      if (!m2_result.ok()) return m2_result.status();
-      MomentSums m2 = std::move(m2_result).value();
-      {
-        core::GmmModel tmp = model;
-        for (size_t c = 0; c < k; ++c) {
-          if (m2.w[c] < 1e-9) continue;
-          for (size_t j = 0; j < dim; ++j) {
-            tmp.components[c].mean[j] = m2.lsum[c][j] / m2.w[c];
-          }
-        }
-        auto cov2 = RunPipelineJob(retry, "em-init", [&] {
-          return RunCovarianceJob(runner, dataset, tmp, full_membership,
-                                  Means(tmp), "em-init-2b");
-        });
-        if (!cov2.ok()) return cov2.status();
-        UpdateModel(m2, *cov2, model);
-        for (size_t c = 0; c < k; ++c) {
-          if (m2.w[c] >= 1e-9) {
-            model.components[c].mean = tmp.components[c].mean;
-          }
-        }
-      }
-
-      // ---- EM iterations: two jobs per step (§5.4) ------------------------
-      double prev_ll = -std::numeric_limits<double>::infinity();
-      for (size_t iter = 0; iter < params.max_em_iterations; ++iter) {
-        Result<core::GmmEvaluator> evaluator =
-            core::GmmEvaluator::Make(model, params.covariance_ridge);
-        if (!evaluator.ok()) return evaluator.status();
-        SoftMembership soft(*evaluator);
-        auto moments_result = RunPipelineJob(retry, "em-step", [&] {
-          return RunMomentJob(runner, dataset, model, soft, "em-step-means");
-        });
-        if (!moments_result.ok()) return moments_result.status();
-        MomentSums moments = std::move(moments_result).value();
-        core::GmmModel tmp = model;
-        for (size_t c = 0; c < k; ++c) {
-          if (moments.w[c] < 1e-9) continue;
-          for (size_t j = 0; j < dim; ++j) {
-            tmp.components[c].mean[j] = moments.lsum[c][j] / moments.w[c];
-          }
-        }
-        auto covs = RunPipelineJob(retry, "em-step", [&] {
-          return RunCovarianceJob(runner, dataset, tmp, soft, Means(tmp),
-                                  "em-step-covs");
-        });
-        if (!covs.ok()) return covs.status();
-        UpdateModel(moments, *covs, model);
-        for (size_t c = 0; c < k; ++c) {
-          if (moments.w[c] >= 1e-9) {
-            model.components[c].mean = tmp.components[c].mean;
-          }
-        }
-        const double denom = std::fabs(prev_ll) + 1e-12;
-        if (iter > 0 &&
-            std::fabs(moments.log_likelihood - prev_ll) / denom <
-                params.em_tolerance) {
-          break;
-        }
-        prev_ll = moments.log_likelihood;
-      }
-
-      if (ckpt.enabled()) {
-        GmmPhaseState state;
-        state.model = model;
-        state.counters = counters_.Snapshot();
-        P3C_RETURN_NOT_OK(
-            commit_phase("em-refinement", EncodeGmmState(state)));
-      }
-      P3C_RETURN_NOT_OK(check_cancel("em-refinement"));
-    }
-
-    // ---- Outlier detection (§5.5) ------------------------------------------
-    Result<core::GmmEvaluator> evaluator =
-        core::GmmEvaluator::Make(model, params.covariance_ridge);
-    if (!evaluator.ok()) return evaluator.status();
-    const double critical = stats::ChiSquaredQuantile(
-        1.0 - params.outlier_alpha, static_cast<double>(dim));
-
-    std::vector<linalg::Vector> centers;
-    std::vector<linalg::Matrix> covs;
-    if (params.outlier == core::OutlierMode::kNaive) {
-      centers = Means(model);
-      covs.reserve(k);
-      for (const auto& comp : model.components) covs.push_back(comp.cov);
-    } else {
-      // MVB: ball job + two statistics jobs (§5.5: "three MR jobs").
-      auto balls_result = RunPipelineJob(retry, "mvb", [&] {
-        return RunMvbBallJob(runner, dataset, model, *evaluator);
-      });
-      if (!balls_result.ok()) return balls_result.status();
-      const std::vector<MvbBall>& balls = *balls_result;
-      BallMembership ball_membership(*evaluator, balls);
-      auto mb_result = RunPipelineJob(retry, "mvb", [&] {
-        return RunMomentJob(runner, dataset, model, ball_membership,
-                            "mvb-means");
-      });
-      if (!mb_result.ok()) return mb_result.status();
-      MomentSums mb = std::move(mb_result).value();
-      centers.assign(k, linalg::Vector(dim, 0.5));
-      for (size_t c = 0; c < k; ++c) {
-        if (mb.w[c] < 1e-9) {
-          centers[c] = balls[c].center.empty() ? model.components[c].mean
-                                               : balls[c].center;
-          continue;
-        }
-        for (size_t j = 0; j < dim; ++j) {
-          centers[c][j] = mb.lsum[c][j] / mb.w[c];
-        }
-      }
-      auto cov_sums = RunPipelineJob(retry, "mvb", [&] {
-        return RunCovarianceJob(runner, dataset, model, ball_membership,
-                                centers, "mvb-covs");
-      });
-      if (!cov_sums.ok()) return cov_sums.status();
-      covs.assign(k, linalg::Matrix::Identity(dim).Scale(1e-2));
-      for (size_t c = 0; c < k; ++c) {
-        const double denom = mb.w[c] * mb.w[c] - mb.w2[c];
-        if (mb.w[c] >= 1e-9 && denom > 1e-12) {
-          covs[c] = (*cov_sums)[c].Scale(mb.w[c] / denom);
-        }
-        core::ApplyMvbConsistencyCorrection(covs[c], dim);
-      }
-    }
-    Result<std::vector<linalg::Cholesky>> factors =
-        FactorizeAll(covs, params.covariance_ridge);
-    if (!factors.ok()) return factors.status();
-    auto od = RunPipelineJob(retry, "outlier-detection", [&] {
-      return RunOdJob(runner, dataset, model, *evaluator, centers, *factors,
-                      critical);
-    });
-    if (!od.ok()) return od.status();
-    membership = std::move(od).value();
-    if (ckpt.enabled()) {
-      MembershipPhaseState state;
-      state.membership = membership;
-      state.counters = counters_.Snapshot();
-      P3C_RETURN_NOT_OK(
-          commit_phase("outlier-detection", EncodeMembershipState(state)));
-    }
-    P3C_RETURN_NOT_OK(check_cancel("outlier-detection"));
-    for (size_t i = 0; i < membership.size(); ++i) {
-      if (membership[i] >= 0) {
-        reported_points[static_cast<size_t>(membership[i])].push_back(
-            static_cast<data::PointId>(i));
-      }
-    }
-  }
-
-  // ---- Attribute inspection (§5.6) ----------------------------------------
-  std::vector<uint64_t> member_counts(k, 0);
-  for (int32_t c : membership) {
-    if (c >= 0) ++member_counts[static_cast<size_t>(c)];
-  }
-  std::vector<size_t> bins_per_cluster(k, 1);
-  for (size_t c = 0; c < k; ++c) {
-    bins_per_cluster[c] = static_cast<size_t>(stats::NumBins(
-        params.binning, std::max<uint64_t>(1, member_counts[c])));
-  }
-  auto member_histograms_result =
-      RunPipelineJob(retry, "cluster-histograms", [&] {
-        return RunClusterHistogramJob(runner, dataset, membership, k,
-                                      bins_per_cluster);
-      });
-  if (!member_histograms_result.ok()) {
-    return member_histograms_result.status();
-  }
-  const std::vector<std::vector<stats::Histogram>>& member_histograms =
-      *member_histograms_result;
-  std::vector<std::vector<core::Interval>> suggestions(k);
-  for (size_t c = 0; c < k; ++c) {
-    if (member_counts[c] == 0) continue;
-    suggestions[c] = core::SuggestNewIntervals(
-        detection.cores[c].signature, member_histograms[c], params.alpha_chi2);
-  }
-  const std::vector<std::vector<core::Interval>> accepted =
-      core::ProveSuggestedIntervals(detection.cores, suggestions, params,
-                                    counter);
-  if (!support_job_error.ok()) return support_job_error;
-
-  // ---- Interval tightening job (§5.7) --------------------------------------
-  std::vector<std::vector<size_t>> final_attrs(k);
-  for (size_t c = 0; c < k; ++c) {
-    final_attrs[c] =
-        core::FinalAttributes(detection.cores[c].signature, accepted[c]);
-  }
-  auto tightened_result = RunPipelineJob(retry, "interval-tightening", [&] {
-    return RunTighteningJob(runner, dataset, membership, final_attrs);
-  });
-  if (!tightened_result.ok()) return tightened_result.status();
-  const std::vector<std::vector<core::Interval>>& tightened =
-      *tightened_result;
-
-  for (size_t c = 0; c < k; ++c) {
-    if (reported_points[c].empty()) continue;
-    core::ProjectedCluster cluster;
-    cluster.points = reported_points[c];
-    if (member_counts[c] == 0) {
-      cluster.attrs = detection.cores[c].signature.attrs();
-      cluster.intervals = detection.cores[c].signature.intervals();
-    } else {
-      cluster.attrs = final_attrs[c];
-      cluster.intervals = tightened[c];
-    }
-    result.clusters.push_back(std::move(cluster));
-  }
-
+  MrExecutor executor(*runner_, dataset, options_, counters_, ckpt, resume);
+  P3C_RETURN_NOT_OK(executor.CheckCancel("<none>"));
+  Result<core::ModelResult> model = core::RunP3C(params, executor);
+  if (!model.ok()) return model.status();
+  core::ClusteringResult result = core::ToClusteringResult(
+      std::move(model).value(), executor.TakeReported());
   result.seconds = watch.ElapsedSeconds();
   return result;
 }

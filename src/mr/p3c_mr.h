@@ -77,16 +77,12 @@ struct P3CMROptions {
   }
 };
 
-/// P3C+-MR (§5) and P3C+-MR-Light (§6): the paper's MapReduce job
-/// decomposition executed on the in-process engine.
-///
-/// Pipeline (full): histogram job → relevant intervals (driver) →
-/// A-priori candidate generation (driver, parallel above Tgen) with
-/// batched support jobs (Tc heuristic) → EM init (2x2 jobs) → EM steps
-/// (2 jobs each) → [MVB ball job + 2 stats jobs] → OD job (map-only) →
-/// per-cluster histogram job → AI proving support job → tightening job.
-/// The Light pipeline replaces the EM/OD block with the support-set job
-/// and the m' unique-membership rule.
+/// P3C+-MR (§5) and P3C+-MR-Light (§6): core::RunP3C over the MapReduce
+/// executor, one job per record pass on the in-process engine: histogram
+/// → batched support-count jobs (Tc heuristic) → EM init (2x2 jobs) →
+/// EM steps (2 jobs each) → [MVB ball + 2 stats jobs] → map-only OD (Light:
+/// the support-set job instead) → cluster-histograms → AI support-count
+/// → tightening.
 ///
 /// Job-level statistics of the most recent run are available via
 /// metrics(); the runtime figure (Fig. 7) and the job-count analysis of

@@ -45,18 +45,27 @@ struct AiFixture {
 
 TEST(MemberHistogramsTest, BinsFromMemberCount) {
   const AiFixture fx;
-  const auto hists = BuildMemberHistograms(fx.dataset, fx.members,
-                                           stats::BinningRule::kFreedmanDiaconis);
+  const auto hists = BuildMemberHistograms(
+      fx.dataset, fx.members,
+      MemberHistogramBins(stats::BinningRule::kFreedmanDiaconis,
+                          fx.members.size()));
   ASSERT_EQ(hists.size(), 3u);
   EXPECT_EQ(hists[0].num_bins(),
             stats::FreedmanDiaconisBins(fx.members.size()));
   EXPECT_EQ(hists[0].total(), fx.members.size());
+  EXPECT_EQ(MemberHistogramBins(stats::BinningRule::kSturges, 1500),
+            stats::NumBins(stats::BinningRule::kSturges, 1500));
+  // A cluster without members still gets one-member histograms.
+  EXPECT_EQ(MemberHistogramBins(stats::BinningRule::kFreedmanDiaconis, 0),
+            stats::FreedmanDiaconisBins(1));
 }
 
 TEST(SuggestNewIntervalsTest, FindsTheMissedAttribute) {
   const AiFixture fx;
-  const auto hists = BuildMemberHistograms(fx.dataset, fx.members,
-                                           stats::BinningRule::kFreedmanDiaconis);
+  const auto hists = BuildMemberHistograms(
+      fx.dataset, fx.members,
+      MemberHistogramBins(stats::BinningRule::kFreedmanDiaconis,
+                          fx.members.size()));
   const auto suggestions =
       SuggestNewIntervals(fx.core.signature, hists, 0.001);
   // Attr 0 is skipped (already in core); attr 1 suggested; attr 2 not.
@@ -94,7 +103,7 @@ TEST(AiProvingTest, AcceptsRealRejectsFake) {
     return counts;
   };
   const auto accepted =
-      ProveSuggestedIntervals({fx.core}, suggestions, params, counter);
+      ProveSuggestedIntervals({fx.core}, suggestions, params, counter).value();
   ASSERT_EQ(accepted.size(), 1u);
   ASSERT_EQ(accepted[0].size(), 1u);
   EXPECT_EQ(accepted[0][0].attr, 1u);
@@ -111,7 +120,7 @@ TEST(AiProvingTest, WithoutProvingAcceptsAll) {
     return std::vector<uint64_t>(sigs.size(), 0);
   };
   const auto accepted =
-      ProveSuggestedIntervals({fx.core}, suggestions, params, counter);
+      ProveSuggestedIntervals({fx.core}, suggestions, params, counter).value();
   ASSERT_EQ(accepted[0].size(), 2u);
   EXPECT_EQ(counter_calls, 0);  // no support job without proving
 }
@@ -134,7 +143,7 @@ TEST(AiProvingTest, OneIntervalPerAttribute) {
     return counts;
   };
   const auto accepted =
-      ProveSuggestedIntervals({fx.core}, suggestions, params, counter);
+      ProveSuggestedIntervals({fx.core}, suggestions, params, counter).value();
   EXPECT_EQ(accepted[0].size(), 1u);
   EXPECT_EQ(accepted[0][0].attr, 1u);
 }
@@ -146,7 +155,7 @@ TEST(AiProvingTest, EmptySuggestions) {
     return std::vector<uint64_t>(sigs.size(), 0);
   };
   const auto accepted =
-      ProveSuggestedIntervals({fx.core}, {{}}, params, counter);
+      ProveSuggestedIntervals({fx.core}, {{}}, params, counter).value();
   EXPECT_TRUE(accepted[0].empty());
 }
 

@@ -57,7 +57,8 @@ TEST(CoreDetectionTest, RecoversPlantedSubspaces) {
   P3CParams params;
   const auto result =
       GenerateClusterCores(planted.intervals, planted.data.dataset.num_points(),
-                           params, DataCounter(planted.data.dataset), nullptr);
+                           params, DataCounter(planted.data.dataset), nullptr)
+          .value();
   ASSERT_EQ(result.cores.size(), 2u);
   // Each core's attrs must equal one hidden cluster's attrs.
   for (const auto& core : result.cores) {
@@ -76,7 +77,8 @@ TEST(CoreDetectionTest, EmptyIntervalsYieldNothing) {
     ++calls;
     return std::vector<uint64_t>(sigs.size(), 0);
   };
-  const auto result = GenerateClusterCores({}, 1000, params, counter, nullptr);
+  const auto result =
+      GenerateClusterCores({}, 1000, params, counter, nullptr).value();
   EXPECT_TRUE(result.cores.empty());
   EXPECT_EQ(calls, 0);
 }
@@ -104,7 +106,7 @@ TEST(CoreDetectionTest, UniformDataYieldsNoCores) {
   P3CParams params;
   const auto result = GenerateClusterCores(
       intervals, data.dataset.num_points(), params, DataCounter(data.dataset),
-      nullptr);
+      nullptr).value();
   EXPECT_TRUE(result.cores.empty());
 }
 
@@ -133,7 +135,8 @@ TEST(CoreDetectionTest, EffectSizeGateSuppressesWeakDeviations) {
   poisson_only.proving = ProvingMode::kPoisson;
   poisson_only.redundancy_filter = false;
   const auto with_poisson =
-      GenerateClusterCores(intervals, n, poisson_only, counter2, nullptr);
+      GenerateClusterCores(intervals, n, poisson_only, counter2, nullptr)
+          .value();
   // Poisson alone accepts the weak pair (power pathology, §4.1.2).
   ASSERT_EQ(with_poisson.cores.size(), 1u);
   EXPECT_EQ(with_poisson.cores[0].signature.size(), 2u);
@@ -142,7 +145,7 @@ TEST(CoreDetectionTest, EffectSizeGateSuppressesWeakDeviations) {
   combined.proving = ProvingMode::kCombined;
   combined.redundancy_filter = false;
   const auto with_effect =
-      GenerateClusterCores(intervals, n, combined, counter2, nullptr);
+      GenerateClusterCores(intervals, n, combined, counter2, nullptr).value();
   // The combined test rejects it; the (strong) singles remain as maximal
   // proven signatures.
   ASSERT_EQ(with_effect.cores.size(), 2u);
@@ -183,7 +186,8 @@ TEST(CoreDetectionTest, RedundancyFilterRemovesIntersectionSignature) {
   };
   P3CParams params;  // redundancy filter on
   const auto filtered =
-      GenerateClusterCores({ia1, ia2, ia3}, n, params, counter, nullptr);
+      GenerateClusterCores({ia1, ia2, ia3}, n, params, counter, nullptr)
+          .value();
   EXPECT_EQ(filtered.stats.num_maximal, 3u);
   ASSERT_EQ(filtered.cores.size(), 2u);
   for (const auto& core : filtered.cores) {
@@ -193,7 +197,8 @@ TEST(CoreDetectionTest, RedundancyFilterRemovesIntersectionSignature) {
   P3CParams no_filter = params;
   no_filter.redundancy_filter = false;
   const auto unfiltered =
-      GenerateClusterCores({ia1, ia2, ia3}, n, no_filter, counter, nullptr);
+      GenerateClusterCores({ia1, ia2, ia3}, n, no_filter, counter, nullptr)
+          .value();
   EXPECT_EQ(unfiltered.cores.size(), 3u);
 }
 
@@ -207,10 +212,10 @@ TEST(CoreDetectionTest, MultilevelMatchesPerLevelResults) {
 
   const auto a = GenerateClusterCores(
       planted.intervals, planted.data.dataset.num_points(), per_level,
-      DataCounter(planted.data.dataset), nullptr);
+      DataCounter(planted.data.dataset), nullptr).value();
   const auto b = GenerateClusterCores(
       planted.intervals, planted.data.dataset.num_points(), multilevel,
-      DataCounter(planted.data.dataset), nullptr);
+      DataCounter(planted.data.dataset), nullptr).value();
   ASSERT_EQ(a.cores.size(), b.cores.size());
   for (size_t i = 0; i < a.cores.size(); ++i) {
     EXPECT_EQ(a.cores[i].signature, b.cores[i].signature);
@@ -225,7 +230,7 @@ TEST(CoreDetectionTest, StatsAreCoherent) {
   P3CParams params;
   const auto result = GenerateClusterCores(
       planted.intervals, planted.data.dataset.num_points(), params,
-      DataCounter(planted.data.dataset), nullptr);
+      DataCounter(planted.data.dataset), nullptr).value();
   const auto& s = result.stats;
   EXPECT_GE(s.num_candidates_generated, planted.intervals.size());
   EXPECT_GE(s.num_signatures_counted, s.num_proven);

@@ -73,7 +73,7 @@ TEST(ExplosionGuardTest, CoClusteredBlockTriggersTruncation) {
     return counts;
   };
   const auto result = core::GenerateClusterCores(intervals, n, params,
-                                                 counter, nullptr);
+                                                 counter, nullptr).value();
   EXPECT_TRUE(result.stats.truncated);
   EXPECT_FALSE(result.cores.empty());
 }
@@ -109,7 +109,7 @@ TEST(ExplosionGuardTest, JoinPairCapTriggers) {
     return counts;
   };
   const auto result = core::GenerateClusterCores(intervals, n, params,
-                                                 counter, nullptr);
+                                                 counter, nullptr).value();
   EXPECT_TRUE(result.stats.truncated);
 }
 

@@ -58,6 +58,44 @@ TEST(CsvIoTest, RaggedRowsFail) {
   std::remove(path.c_str());
 }
 
+class CsvNonFiniteTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CsvNonFiniteTest, FailsWithLineAndColumn) {
+  const std::string path = TempPath("nonfinite.csv");
+  FILE* f = std::fopen(path.c_str(), "w");
+  std::fprintf(f, "0.1,0.2,0.3\n0.4,0.5,%s\n", GetParam());
+  std::fclose(f);
+  Result<Dataset> loaded = ReadCsv(path);
+  ASSERT_FALSE(loaded.ok()) << GetParam() << " was accepted";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(loaded.status().message(), path + ":2:3: value is not finite");
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Spellings, CsvNonFiniteTest,
+                         ::testing::Values("nan", "inf", "-inf", "1e999"));
+
+TEST(ReadDatasetTest, DetectsTheContainerByMagicNotName) {
+  const Dataset original = SampleData();
+  const std::string binary = TempPath("points.bin");
+  ASSERT_TRUE(WriteBinary(original, binary).ok());
+  Result<Dataset> from_binary = ReadDataset(binary);
+  ASSERT_TRUE(from_binary.ok()) << from_binary.status().ToString();
+  EXPECT_EQ(from_binary->values(), original.values());
+
+  // A CSV file carrying the container's extension is still CSV.
+  const std::string csv = TempPath("points-as-csv.p3cd");
+  ASSERT_TRUE(WriteCsv(original, csv).ok());
+  Result<Dataset> from_csv = ReadDataset(csv);
+  ASSERT_TRUE(from_csv.ok()) << from_csv.status().ToString();
+  EXPECT_EQ(from_csv->values(), original.values());
+
+  EXPECT_EQ(ReadDataset(TempPath("does-not-exist")).status().code(),
+            StatusCode::kIOError);
+  std::remove(binary.c_str());
+  std::remove(csv.c_str());
+}
+
 TEST(BinaryIoTest, RoundTrip) {
   const std::string path = TempPath("round.p3cd");
   const Dataset original = SampleData();

@@ -174,7 +174,9 @@ TEST(ClusterHistogramJobTest, MatchesMemberHistograms) {
       }
     }
     const auto direct = core::BuildMemberHistograms(
-        data.dataset, members, stats::BinningRule::kFreedmanDiaconis);
+        data.dataset, members,
+        core::MemberHistogramBins(stats::BinningRule::kFreedmanDiaconis,
+                                  members.size()));
     for (size_t attr = 0; attr < data.dataset.num_dims(); ++attr) {
       EXPECT_EQ(job[c][attr].counts(), direct[attr].counts());
     }

@@ -458,10 +458,7 @@ int CmdCluster(const Args& args) {
     if (!out.empty()) std::printf("wrote assignments to %s\n", out.c_str());
     return 0;
   }
-  Result<data::Dataset> dataset =
-      in.size() > 5 && in.substr(in.size() - 5) == ".p3cd"
-          ? data::ReadBinary(in)
-          : data::ReadCsv(in);
+  Result<data::Dataset> dataset = data::ReadDataset(in);
   if (!dataset.ok()) return Fail(dataset.status().ToString());
   if (args.Has("normalize")) dataset->NormalizeMinMax();
 
@@ -567,10 +564,7 @@ int CmdEvaluateSubspace(const Args& args) {
 int CmdInfo(const Args& args) {
   const std::string in = args.Get("in", "");
   if (in.empty()) return Fail("info requires --in");
-  Result<data::Dataset> dataset =
-      in.size() > 5 && in.substr(in.size() - 5) == ".p3cd"
-          ? data::ReadBinary(in)
-          : data::ReadCsv(in);
+  Result<data::Dataset> dataset = data::ReadDataset(in);
   if (!dataset.ok()) return Fail(dataset.status().ToString());
   std::printf("points:     %zu\n", dataset->num_points());
   std::printf("dims:       %zu\n", dataset->num_dims());

@@ -53,6 +53,13 @@
 #                                      # Tsan build without NDEBUG (under
 #                                      # the tier-1 RelWithDebInfo build
 #                                      # they GTEST_SKIP)
+#   tools/run_sanitizers.sh parity-smoke
+#                                      # executor parity suite (ctest -L
+#                                      # parity-smoke): the in-memory,
+#                                      # MapReduce and block-stream
+#                                      # executors of the one P3C+ driver
+#                                      # agree bit for bit, under both
+#                                      # sanitizers
 #
 # The fault-tolerance machinery (task retry, first-error-wins failure
 # slots, exception capture in ParallelFor) is concurrency-heavy; TSan on
@@ -183,12 +190,22 @@ case "${MODE}" in
       "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
     run_suite "TSan sync-smoke" Tsan build-tsan "TSAN_OPTIONS=halt_on_error=1"
     ;;
+  parity-smoke)
+    # The executor parity suite: one P3C+ driver over three executors.
+    # ASan/UBSan polices the stream's block buffers and the MR split
+    # boundaries (many small splits); TSan the in-memory range scans and
+    # the runner's map/reduce workers under the same driver.
+    LABEL="parity-smoke"
+    run_suite "ASan+UBSan parity-smoke" Sanitize build-asan \
+      "ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1"
+    run_suite "TSan parity-smoke" Tsan build-tsan "TSAN_OPTIONS=halt_on_error=1"
+    ;;
   all)
     "$0" asan
     "$0" tsan
     ;;
   *)
-    echo "usage: $0 [asan|tsan|all|shuffle-smoke|trace-smoke|straggler-smoke|kernel-smoke|checkpoint-smoke|resource-smoke|worker-smoke|sync-smoke]" \
+    echo "usage: $0 [asan|tsan|all|shuffle-smoke|trace-smoke|straggler-smoke|kernel-smoke|checkpoint-smoke|resource-smoke|worker-smoke|sync-smoke|parity-smoke]" \
          "[ctest -R filter]" >&2
     exit 2
     ;;
