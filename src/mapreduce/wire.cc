@@ -110,6 +110,23 @@ Result<std::optional<Frame>> FrameReader::Next() {
   return std::optional<Frame>{std::move(frame)};
 }
 
+Status WireReader::Finish() const {
+  P3C_RETURN_NOT_OK(status_);
+  if (pos_ != data_.size()) {
+    return Status::IOError(StringPrintf(
+        "%s: %zu trailing bytes after the last decoded field",
+        context_.c_str(), data_.size() - pos_));
+  }
+  return Status::OK();
+}
+
+Status WireReader::TruncatedError(uint64_t need) const {
+  return Status::IOError(StringPrintf(
+      "%s: truncated payload (need %llu bytes at offset %zu of %zu)",
+      context_.c_str(), static_cast<unsigned long long>(need), pos_,
+      data_.size()));
+}
+
 void EncodeMetricBag(const MetricBag& bag, WireWriter& writer) {
   writer.PutU64(bag.values().size());
   for (const auto& [name, metric] : bag.values()) {

@@ -13,14 +13,16 @@
 // discipline, so a torn write, a short read, or a worker that died
 // mid-frame is detected as corruption instead of being half-parsed.
 //
-// Payloads are encoded with WireWriter/WireReader: a tiny
-// little-endian codec with typed Put/Get templates covering exactly
-// the key/value/output types the paper's jobs use — trivially
+// Payloads are encoded with WireWriter/WireReader: the project's one
+// byte codec, used both for worker frames and for the durable
+// checkpoint payloads (src/mr/checkpoint.*, DESIGN.md §13). It is a
+// tiny little-endian codec with typed Put/Get templates covering
+// exactly the key/value/output types the paper's jobs use — trivially
 // copyable scalars and PODs, std::string, std::vector<T>, and
-// std::pair<A, B> — plus Metric/MetricBag for shipping task counters
-// back. `IsWireSerializable<T>` reports at compile time whether a
-// job's types can cross the process boundary at all; jobs whose types
-// cannot (none in-tree today) simply keep running in-process.
+// std::pair<A, B> — plus Metric/MetricBag for task counters and phase
+// snapshots. `IsWireSerializable<T>` reports at compile time whether a
+// type has an encoding at all; jobs whose types do not (none in-tree
+// today) simply keep running in-process.
 
 #include <cstdint>
 #include <cstring>
@@ -96,7 +98,7 @@ class FrameReader {
 // Typed payload codec
 // ---------------------------------------------------------------------------
 
-/// Compile-time "can T cross the process boundary" predicate.
+/// Compile-time "does T have a wire encoding" predicate.
 template <typename T, typename = void>
 struct IsWireSerializable : std::is_trivially_copyable<T> {};
 
@@ -114,8 +116,10 @@ template <typename T>
 inline constexpr bool kIsWireSerializable = IsWireSerializable<T>::value;
 
 /// Appends typed values to a byte string. Fixed-width little-endian
-/// integers for lengths; trivially copyable values are memcpy'd (the
-/// driver and its forked workers share one ABI by construction).
+/// integers for lengths; trivially copyable values are memcpy'd, so
+/// doubles round-trip as exact bit patterns (the driver and its forked
+/// workers share one ABI by construction; checkpoints bind the layout
+/// through kCheckpointFormatVersion).
 class WireWriter {
  public:
   void PutRaw(const void* data, size_t n) {
@@ -132,8 +136,7 @@ class WireWriter {
 
   template <typename T>
   void Put(const T& value) {
-    static_assert(kIsWireSerializable<T>,
-                  "type cannot be shipped across the worker boundary");
+    static_assert(kIsWireSerializable<T>, "type has no wire encoding");
     if constexpr (std::is_same_v<T, std::string>) {
       PutString(value);
     } else {
@@ -165,22 +168,20 @@ class WireWriter {
   std::string out_;
 };
 
-/// Decodes what WireWriter wrote. Sticky-status style like the
-/// checkpoint BlobReader: over-runs set a kIOError status once and
-/// every later Get returns zero values; callers check status()/Finish()
-/// after decoding instead of after every field.
+/// Decodes what WireWriter wrote. Sticky-status style: the first
+/// over-run sets a located kIOError ("<context>: truncated payload
+/// (need N bytes at offset P of S)") and every later Get returns zero
+/// values; callers check status()/Finish() after decoding a whole
+/// record instead of after every field. Every length check compares
+/// against the bytes left (`n > size - pos`), so a hostile u64 length
+/// cannot wrap the cursor.
 class WireReader {
  public:
   explicit WireReader(std::string_view data, std::string context)
       : data_(data), context_(std::move(context)) {}
 
   void GetRaw(void* out, size_t n) {
-    if (!status_.ok()) {
-      std::memset(out, 0, n);
-      return;
-    }
-    if (pos_ + n > data_.size()) {
-      status_ = Status::IOError(context_ + ": payload truncated");
+    if (!Need(n)) {
       std::memset(out, 0, n);
       return;
     }
@@ -209,11 +210,7 @@ class WireReader {
   }
   std::string GetString() {
     const uint64_t n = GetU64();
-    if (!status_.ok()) return {};
-    if (pos_ + n > data_.size()) {
-      status_ = Status::IOError(context_ + ": string length over-runs");
-      return {};
-    }
+    if (!Need(n)) return {};
     std::string s(data_.substr(pos_, n));
     pos_ += n;
     return s;
@@ -221,8 +218,7 @@ class WireReader {
 
   template <typename T>
   void Get(T* out) {
-    static_assert(kIsWireSerializable<T>,
-                  "type cannot be shipped across the worker boundary");
+    static_assert(kIsWireSerializable<T>, "type has no wire encoding");
     if constexpr (std::is_same_v<T, std::string>) {
       *out = GetString();
     } else {
@@ -238,30 +234,31 @@ class WireReader {
 
   template <typename T>
   void Get(std::vector<T>* out) {
+    out->clear();
     const uint64_t n = GetU64();
     if (!status_.ok()) return;
-    // Sanity bound before reserving: every element encodes to at least
-    // one byte, so a length beyond the remaining payload is corruption,
-    // not a huge allocation waiting to happen.
-    if (n > data_.size() - pos_) {
-      status_ = Status::IOError(context_ + ": vector length over-runs");
-      return;
-    }
-    out->clear();
     if constexpr (std::is_trivially_copyable_v<T> &&
                   !std::is_same_v<T, std::string>) {
-      if (pos_ + n * sizeof(T) > data_.size()) {
-        status_ = Status::IOError(context_ + ": vector bytes over-run");
+      if (n > (data_.size() - pos_) / sizeof(T)) {
+        // Saturated: n * sizeof(T) may not fit, and any value past the
+        // remaining bytes reports the same over-run.
+        Need(n > UINT64_MAX / sizeof(T) ? UINT64_MAX : n * sizeof(T));
         return;
       }
       out->resize(n);
-      std::memcpy(out->data(), data_.data() + pos_, n * sizeof(T));
-      pos_ += n * sizeof(T);
+      GetRaw(out->data(), n * sizeof(T));
     } else {
+      // Every element encodes to at least one byte, so a count beyond
+      // the remaining payload is corruption, not a huge reservation.
+      if (!Need(n)) return;
       out->reserve(n);
-      for (uint64_t i = 0; i < n && status_.ok(); ++i) {
+      for (uint64_t i = 0; i < n; ++i) {
         T v;
         Get(&v);
+        if (!status_.ok()) {
+          out->clear();
+          return;
+        }
         out->push_back(std::move(v));
       }
     }
@@ -269,17 +266,21 @@ class WireReader {
 
   const Status& status() const { return status_; }
 
-  /// OK only when every payload byte was decoded — trailing garbage is
-  /// corruption, same contract as the checkpoint BlobReader.
-  Status Finish() const {
-    if (!status_.ok()) return status_;
-    if (pos_ != data_.size()) {
-      return Status::IOError(context_ + ": undecoded trailing bytes");
-    }
-    return Status::OK();
-  }
+  /// OK only when every payload byte was decoded: a payload longer than
+  /// its schema is as suspect as a short one.
+  Status Finish() const;
 
  private:
+  /// True when `n` more bytes remain; otherwise records the located
+  /// over-run (once) and returns false.
+  bool Need(uint64_t n) {
+    if (!status_.ok()) return false;
+    if (n <= data_.size() - pos_) return true;
+    status_ = TruncatedError(n);
+    return false;
+  }
+  Status TruncatedError(uint64_t need) const;
+
   std::string_view data_;
   std::string context_;
   size_t pos_ = 0;
@@ -290,7 +291,8 @@ class WireReader {
 // Metric / task-frame codecs
 // ---------------------------------------------------------------------------
 
-/// Serializes a MetricBag (task counters crossing back to the driver).
+/// Serializes a MetricBag: task counters crossing back to the driver,
+/// and the counter snapshot inside every checkpoint phase payload.
 void EncodeMetricBag(const MetricBag& bag, WireWriter& writer);
 /// Decodes a bag; kIOError on any malformation.
 Result<MetricBag> DecodeMetricBag(WireReader& reader);

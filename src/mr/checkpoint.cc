@@ -14,6 +14,7 @@
 #include "src/core/interval.h"
 #include "src/core/signature.h"
 #include "src/data/io.h"
+#include "src/mapreduce/wire.h"
 
 namespace p3c::mr {
 
@@ -64,7 +65,7 @@ uint64_t ParamsHash(const core::P3CParams& params) {
   // use, then hash the bytes. Adding a parameter to P3CParams and to
   // this list invalidates old checkpoints automatically — the safe
   // default for a knob that changes pipeline output.
-  BlobWriter w;
+  wire::WireWriter w;
   w.PutU32(kCheckpointFormatVersion);
   w.PutU32(static_cast<uint32_t>(params.binning));
   w.PutDouble(params.alpha_chi2);
@@ -84,143 +85,21 @@ uint64_t ParamsHash(const core::P3CParams& params) {
   w.PutDouble(params.outlier_alpha);
   w.PutU32(params.ai_proving ? 1 : 0);
   w.PutU32(params.light ? 1 : 0);
-  return data::Fnv1a64(w.buffer().data(), w.buffer().size());
-}
-
-// ---- BlobWriter / BlobReader ----------------------------------------------
-
-void BlobWriter::PutU32(uint32_t v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BlobWriter::PutU64(uint64_t v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BlobWriter::PutI32(int32_t v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BlobWriter::PutDouble(double v) {
-  out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void BlobWriter::PutString(const std::string& s) {
-  PutU64(s.size());
-  out_.append(s);
-}
-
-BlobReader::BlobReader(const std::string& buffer, std::string context)
-    : buffer_(buffer), context_(std::move(context)) {}
-
-bool BlobReader::Take(void* dst, size_t len) {
-  if (!status_.ok()) return false;
-  if (len > buffer_.size() - pos_ || pos_ > buffer_.size()) {
-    status_ = Status::IOError(StringPrintf(
-        "%s: truncated checkpoint payload (need %zu bytes at offset %zu of "
-        "%zu)",
-        context_.c_str(), len, pos_, buffer_.size()));
-    return false;
-  }
-  std::memcpy(dst, buffer_.data() + pos_, len);
-  pos_ += len;
-  return true;
-}
-
-uint32_t BlobReader::GetU32() {
-  uint32_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-uint64_t BlobReader::GetU64() {
-  uint64_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-int32_t BlobReader::GetI32() {
-  int32_t v = 0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-double BlobReader::GetDouble() {
-  double v = 0.0;
-  Take(&v, sizeof(v));
-  return v;
-}
-
-std::string BlobReader::GetString() {
-  const uint64_t len = GetU64();
-  if (!status_.ok()) return {};
-  if (len > buffer_.size() - pos_) {
-    status_ = Status::IOError(StringPrintf(
-        "%s: string length %llu overruns payload (%zu bytes left)",
-        context_.c_str(), static_cast<unsigned long long>(len),
-        buffer_.size() - pos_));
-    return {};
-  }
-  std::string out = buffer_.substr(pos_, static_cast<size_t>(len));
-  pos_ += static_cast<size_t>(len);
-  return out;
-}
-
-Status BlobReader::Finish() const {
-  P3C_RETURN_NOT_OK(status_);
-  if (pos_ != buffer_.size()) {
-    return Status::IOError(StringPrintf(
-        "%s: %zu trailing bytes after the last decoded field",
-        context_.c_str(), buffer_.size() - pos_));
-  }
-  return Status::OK();
-}
-
-// ---- MetricBag codec -------------------------------------------------------
-
-void EncodeMetricBag(const MetricBag& bag, BlobWriter& writer) {
-  writer.PutU64(bag.values().size());
-  for (const auto& [name, metric] : bag.values()) {
-    writer.PutString(name);
-    writer.PutU32(static_cast<uint32_t>(metric.kind));
-    writer.PutU64(metric.count);
-    writer.PutDouble(metric.sum);
-    writer.PutDouble(metric.min);
-    writer.PutDouble(metric.max);
-    for (uint64_t bucket : metric.buckets) writer.PutU64(bucket);
-  }
-}
-
-Result<MetricBag> DecodeMetricBag(BlobReader& reader) {
-  MetricBag bag;
-  const uint64_t n = reader.GetU64();
-  for (uint64_t i = 0; i < n && reader.status().ok(); ++i) {
-    const std::string name = reader.GetString();
-    Metric metric;
-    const uint32_t kind = reader.GetU32();
-    if (kind > static_cast<uint32_t>(MetricKind::kHistogram)) {
-      return Status::IOError(
-          StringPrintf("metric '%s' has unknown kind %u", name.c_str(), kind));
-    }
-    metric.kind = static_cast<MetricKind>(kind);
-    metric.count = reader.GetU64();
-    metric.sum = reader.GetDouble();
-    metric.min = reader.GetDouble();
-    metric.max = reader.GetDouble();
-    for (size_t b = 0; b < Metric::kNumBuckets; ++b) {
-      metric.buckets[b] = reader.GetU64();
-    }
-    bag.Set(name, metric);
-  }
-  P3C_RETURN_NOT_OK(reader.status());
-  return bag;
+  const std::string bytes = w.Take();
+  return data::Fnv1a64(bytes.data(), bytes.size());
 }
 
 // ---- Phase state codecs ----------------------------------------------------
 
 namespace {
 
-void EncodeSignature(const core::Signature& signature, BlobWriter& writer) {
+// Arel (a std::vector<size_t>) goes through the typed vector form,
+// which memcpy's its elements; the format stores them as u64.
+static_assert(sizeof(size_t) == sizeof(uint64_t),
+              "checkpoint format stores size_t as u64");
+
+void EncodeSignature(const core::Signature& signature,
+                     wire::WireWriter& writer) {
   writer.PutU64(signature.intervals().size());
   for (const core::Interval& interval : signature.intervals()) {
     writer.PutU64(interval.attr);
@@ -229,7 +108,7 @@ void EncodeSignature(const core::Signature& signature, BlobWriter& writer) {
   }
 }
 
-Result<core::Signature> DecodeSignature(BlobReader& reader) {
+Result<core::Signature> DecodeSignature(wire::WireReader& reader) {
   const uint64_t n = reader.GetU64();
   std::vector<core::Interval> intervals;
   for (uint64_t i = 0; i < n && reader.status().ok(); ++i) {
@@ -243,42 +122,41 @@ Result<core::Signature> DecodeSignature(BlobReader& reader) {
   return core::Signature::Make(std::move(intervals));
 }
 
+/// Decodes the trailing counter snapshot into `counters` and checks
+/// that nothing follows it.
+Status FinishWithCounters(wire::WireReader& reader, MetricBag& counters) {
+  Result<MetricBag> decoded = wire::DecodeMetricBag(reader);
+  P3C_RETURN_NOT_OK(decoded.status());
+  counters = std::move(decoded).value();
+  return reader.Finish();
+}
+
 }  // namespace
 
 std::string EncodeHistogramState(const HistogramPhaseState& state) {
-  BlobWriter w;
+  wire::WireWriter w;
   w.PutU64(state.histograms.size());
-  for (const stats::Histogram& h : state.histograms) {
-    w.PutU64(h.num_bins());
-    for (uint64_t count : h.counts()) w.PutU64(count);
-  }
-  EncodeMetricBag(state.counters, w);
+  for (const stats::Histogram& h : state.histograms) w.Put(h.counts());
+  wire::EncodeMetricBag(state.counters, w);
   return w.Take();
 }
 
 Result<HistogramPhaseState> DecodeHistogramState(const std::string& payload) {
-  BlobReader r(payload, "histogram state");
+  wire::WireReader r(payload, "histogram state");
   HistogramPhaseState state;
-  const uint64_t n = r.GetU64();
-  for (uint64_t i = 0; i < n && r.status().ok(); ++i) {
-    const uint64_t bins = r.GetU64();
-    if (!r.status().ok()) break;
-    if (bins > payload.size()) {
-      return Status::IOError("histogram state: implausible bin count");
-    }
-    stats::Histogram h(static_cast<size_t>(bins));
-    for (uint64_t b = 0; b < bins; ++b) h.counts()[b] = r.GetU64();
+  std::vector<std::vector<uint64_t>> counts;
+  r.Get(&counts);
+  for (std::vector<uint64_t>& bins : counts) {
+    stats::Histogram h;
+    h.counts() = std::move(bins);
     state.histograms.push_back(std::move(h));
   }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
+  P3C_RETURN_NOT_OK(FinishWithCounters(r, state.counters));
   return state;
 }
 
 std::string EncodeCoresState(const CoresPhaseState& state) {
-  BlobWriter w;
+  wire::WireWriter w;
   w.PutU64(state.stats.num_levels);
   w.PutU64(state.stats.num_candidates_generated);
   w.PutU64(state.stats.num_signatures_counted);
@@ -293,12 +171,12 @@ std::string EncodeCoresState(const CoresPhaseState& state) {
     w.PutU64(core.support);
     w.PutDouble(core.expected_support);
   }
-  EncodeMetricBag(state.counters, w);
+  wire::EncodeMetricBag(state.counters, w);
   return w.Take();
 }
 
 Result<CoresPhaseState> DecodeCoresState(const std::string& payload) {
-  BlobReader r(payload, "cluster-cores state");
+  wire::WireReader r(payload, "cluster-cores state");
   CoresPhaseState state;
   state.stats.num_levels = static_cast<size_t>(r.GetU64());
   state.stats.num_candidates_generated = r.GetU64();
@@ -318,104 +196,56 @@ Result<CoresPhaseState> DecodeCoresState(const std::string& payload) {
     core.expected_support = r.GetDouble();
     state.cores.push_back(std::move(core));
   }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
+  P3C_RETURN_NOT_OK(FinishWithCounters(r, state.counters));
   return state;
 }
 
 std::string EncodeSupportSetsState(const SupportSetsPhaseState& state) {
-  BlobWriter w;
-  w.PutU64(state.support_sets.size());
-  for (const auto& set : state.support_sets) {
-    w.PutU64(set.size());
-    for (data::PointId point : set) w.PutU32(point);
-  }
-  w.PutU64(state.unique_assignment.size());
-  for (int32_t c : state.unique_assignment) w.PutI32(c);
-  EncodeMetricBag(state.counters, w);
+  wire::WireWriter w;
+  w.Put(state.support_sets);
+  w.Put(state.unique_assignment);
+  wire::EncodeMetricBag(state.counters, w);
   return w.Take();
 }
 
 Result<SupportSetsPhaseState> DecodeSupportSetsState(
     const std::string& payload) {
-  BlobReader r(payload, "support-sets state");
+  wire::WireReader r(payload, "support-sets state");
   SupportSetsPhaseState state;
-  const uint64_t k = r.GetU64();
-  if (k > payload.size()) {
-    return Status::IOError("support-sets state: implausible cluster count");
-  }
-  state.support_sets.resize(static_cast<size_t>(k));
-  for (uint64_t c = 0; c < k && r.status().ok(); ++c) {
-    const uint64_t size = r.GetU64();
-    if (size > payload.size()) {
-      return Status::IOError("support-sets state: implausible set size");
-    }
-    state.support_sets[c].reserve(static_cast<size_t>(size));
-    for (uint64_t i = 0; i < size && r.status().ok(); ++i) {
-      state.support_sets[c].push_back(r.GetU32());
-    }
-  }
-  const uint64_t n = r.GetU64();
-  if (n > payload.size()) {
-    return Status::IOError("support-sets state: implausible point count");
-  }
-  state.unique_assignment.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n && r.status().ok(); ++i) {
-    state.unique_assignment.push_back(r.GetI32());
-  }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
+  r.Get(&state.support_sets);
+  r.Get(&state.unique_assignment);
+  P3C_RETURN_NOT_OK(FinishWithCounters(r, state.counters));
   return state;
 }
 
 std::string EncodeGmmState(const GmmPhaseState& state) {
-  BlobWriter w;
-  w.PutU64(state.model.arel.size());
-  for (size_t attr : state.model.arel) w.PutU64(attr);
+  wire::WireWriter w;
+  w.Put(state.model.arel);
   w.PutU64(state.model.components.size());
   for (const core::GaussianComponent& comp : state.model.components) {
-    w.PutU64(comp.mean.size());
-    for (double v : comp.mean) w.PutDouble(v);
+    w.Put(comp.mean);
     w.PutU64(comp.cov.rows());
     w.PutU64(comp.cov.cols());
     for (double v : comp.cov.data()) w.PutDouble(v);
     w.PutDouble(comp.weight);
   }
-  EncodeMetricBag(state.counters, w);
+  wire::EncodeMetricBag(state.counters, w);
   return w.Take();
 }
 
 Result<GmmPhaseState> DecodeGmmState(const std::string& payload) {
-  BlobReader r(payload, "em-refinement state");
+  wire::WireReader r(payload, "em-refinement state");
   GmmPhaseState state;
-  const uint64_t arel_size = r.GetU64();
-  if (arel_size > payload.size()) {
-    return Status::IOError("em-refinement state: implausible Arel size");
-  }
-  for (uint64_t i = 0; i < arel_size && r.status().ok(); ++i) {
-    state.model.arel.push_back(static_cast<size_t>(r.GetU64()));
-  }
+  r.Get(&state.model.arel);
   const uint64_t k = r.GetU64();
-  if (k > payload.size()) {
-    return Status::IOError("em-refinement state: implausible component count");
-  }
   for (uint64_t c = 0; c < k && r.status().ok(); ++c) {
     core::GaussianComponent comp;
-    const uint64_t dim = r.GetU64();
-    if (dim > payload.size()) {
-      return Status::IOError("em-refinement state: implausible mean size");
-    }
-    comp.mean.reserve(static_cast<size_t>(dim));
-    for (uint64_t j = 0; j < dim && r.status().ok(); ++j) {
-      comp.mean.push_back(r.GetDouble());
-    }
+    r.Get(&comp.mean);
     const uint64_t rows = r.GetU64();
     const uint64_t cols = r.GetU64();
     if (!r.status().ok()) break;
+    // Not a length prefix: the element count is a product, so bound
+    // each factor and the product before allocating the matrix.
     if (rows > payload.size() || cols > payload.size() ||
         (rows != 0 && rows * cols / rows != cols) ||
         rows * cols * sizeof(double) > payload.size()) {
@@ -428,38 +258,23 @@ Result<GmmPhaseState> DecodeGmmState(const std::string& payload) {
     comp.weight = r.GetDouble();
     state.model.components.push_back(std::move(comp));
   }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
+  P3C_RETURN_NOT_OK(FinishWithCounters(r, state.counters));
   return state;
 }
 
 std::string EncodeMembershipState(const MembershipPhaseState& state) {
-  BlobWriter w;
-  w.PutU64(state.membership.size());
-  for (int32_t c : state.membership) w.PutI32(c);
-  EncodeMetricBag(state.counters, w);
+  wire::WireWriter w;
+  w.Put(state.membership);
+  wire::EncodeMetricBag(state.counters, w);
   return w.Take();
 }
 
 Result<MembershipPhaseState> DecodeMembershipState(
     const std::string& payload) {
-  BlobReader r(payload, "outlier-detection state");
+  wire::WireReader r(payload, "outlier-detection state");
   MembershipPhaseState state;
-  const uint64_t n = r.GetU64();
-  if (n > payload.size()) {
-    return Status::IOError(
-        "outlier-detection state: implausible membership size");
-  }
-  state.membership.reserve(static_cast<size_t>(n));
-  for (uint64_t i = 0; i < n && r.status().ok(); ++i) {
-    state.membership.push_back(r.GetI32());
-  }
-  Result<MetricBag> counters = DecodeMetricBag(r);
-  if (!counters.ok()) return counters.status();
-  state.counters = std::move(counters).value();
-  P3C_RETURN_NOT_OK(r.Finish());
+  r.Get(&state.membership);
+  P3C_RETURN_NOT_OK(FinishWithCounters(r, state.counters));
   return state;
 }
 
@@ -503,7 +318,7 @@ void CheckpointManager::Initialize() {
     Discard("manifest unreadable: " + blob.status().ToString());
     return;
   }
-  BlobReader r(*blob, manifest_path);
+  wire::WireReader r(*blob, manifest_path);
   const uint32_t version = r.GetU32();
   const uint64_t fingerprint = r.GetU64();
   const uint64_t params_hash = r.GetU64();
@@ -572,7 +387,7 @@ void CheckpointManager::Initialize() {
           static_cast<unsigned long long>(entry.payload_checksum)));
       return;
     }
-    BlobReader state_reader(*state_blob, path);
+    wire::WireReader state_reader(*state_blob, path);
     const uint32_t state_version = state_reader.GetU32();
     const uint64_t state_index = state_reader.GetU64();
     const std::string state_name = state_reader.GetString();
@@ -609,7 +424,7 @@ void CheckpointManager::Initialize() {
 }
 
 Status CheckpointManager::WriteManifest() {
-  BlobWriter w;
+  wire::WireWriter w;
   w.PutU32(kCheckpointFormatVersion);
   w.PutU64(options_.dataset_fingerprint);
   w.PutU64(options_.params_hash);
@@ -633,7 +448,7 @@ Status CheckpointManager::CommitPhase(const std::string& name,
   PhaseEntry entry;
   entry.name = name;
   entry.filename = StringPrintf("phase-%zu-%s.p3ck", index, name.c_str());
-  BlobWriter state;
+  wire::WireWriter state;
   state.PutU32(kCheckpointFormatVersion);
   state.PutU64(index);
   state.PutString(name);

@@ -20,6 +20,13 @@
 // fingerprint/parameter mismatch is logged, counted, and discards the
 // whole checkpoint — the run degrades to a clean fresh execution, never
 // a crash and never a resume from stale state.
+//
+// Payload bytes (headers and phase states) are written with the
+// project's one byte codec, wire::WireWriter/WireReader
+// (src/mapreduce/wire.h): doubles are stored as bit patterns, so every
+// value round-trips exactly — the resume-determinism contract depends
+// on it — and a hostile length is a located decode error, never an
+// over-read.
 
 #include <cstdint>
 #include <string>
@@ -58,55 +65,6 @@ uint64_t DatasetFingerprint(const data::Dataset& dataset);
 /// irrelevant to pipeline output, so resuming under a different thread
 /// count is sound.
 uint64_t ParamsHash(const core::P3CParams& params);
-
-/// Little-endian byte encoder for checkpoint payloads. Doubles are
-/// stored as bit patterns, so every value round-trips exactly — the
-/// resume-determinism contract depends on it.
-class BlobWriter {
- public:
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI32(int32_t v);
-  void PutDouble(double v);
-  /// u64 length followed by the raw bytes.
-  void PutString(const std::string& s);
-
-  [[nodiscard]] const std::string& buffer() const { return out_; }
-  std::string Take() { return std::move(out_); }
-
- private:
-  std::string out_;
-};
-
-/// Bounds-checked decoder with a sticky error: getters return zero
-/// values once a read has run past the end, and `status()` reports the
-/// first failure. Callers decode a full record, then check status()
-/// once — hostile payloads degrade into one descriptive error instead
-/// of undefined reads.
-class BlobReader {
- public:
-  BlobReader(const std::string& buffer, std::string context);
-
-  uint32_t GetU32();
-  uint64_t GetU64();
-  int32_t GetI32();
-  double GetDouble();
-  std::string GetString();
-
-  /// OK until a getter over-ran the buffer; then the first error.
-  [[nodiscard]] const Status& status() const { return status_; }
-  /// Fails when undecoded bytes remain (a payload longer than its
-  /// schema is as suspect as a short one).
-  [[nodiscard]] Status Finish() const;
-
- private:
-  bool Take(void* dst, size_t len);
-
-  const std::string& buffer_;
-  std::string context_;
-  size_t pos_ = 0;
-  Status status_;
-};
 
 // ---- Per-phase driver state -----------------------------------------------
 //
@@ -158,9 +116,6 @@ Result<GmmPhaseState> DecodeGmmState(const std::string& payload);
 std::string EncodeMembershipState(const MembershipPhaseState& state);
 Result<MembershipPhaseState> DecodeMembershipState(
     const std::string& payload);
-
-void EncodeMetricBag(const MetricBag& bag, BlobWriter& writer);
-Result<MetricBag> DecodeMetricBag(BlobReader& reader);
 
 /// Owns one checkpoint directory for one pipeline run.
 ///

@@ -10,8 +10,9 @@
 //      bit flips, version skew, parameter/dataset mismatch, a
 //      directory from a different run — is detected, logged, counted,
 //      and degrades to a clean fresh run with correct output.
-//   3. Plumbing: the atomic writer's durable-replace protocol and the
-//      checkpoint blob codecs round-trip exactly.
+//   3. Plumbing: the atomic writer's durable-replace protocol, and a
+//      golden pin of the checkpoint bytes (format version 1) so a
+//      codec change cannot silently orphan existing checkpoints.
 
 #include "src/mr/checkpoint.h"
 
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -32,6 +34,7 @@
 #include "src/data/generator.h"
 #include "src/data/io.h"
 #include "src/mapreduce/fault.h"
+#include "src/mapreduce/wire.h"
 #include "src/mr/p3c_mr.h"
 
 namespace p3c::mr {
@@ -203,7 +206,7 @@ TEST(AtomicFileWriter, StreamedWritesReachTheFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Blob container + codecs
+// Blob container + checkpoint format
 // ---------------------------------------------------------------------------
 
 TEST(BlobFile, RoundTripsAndRejectsCorruption) {
@@ -230,49 +233,132 @@ TEST(BlobFile, RoundTripsAndRejectsCorruption) {
   EXPECT_FALSE(data::ReadBlobFile(path, kPhaseBlobKind).ok());
 }
 
-TEST(BlobCodec, ReaderRejectsTrailingAndTruncatedPayloads) {
-  BlobWriter w;
-  w.PutU32(7);
-  w.PutDouble(0.25);
-  w.PutString("abc");
-  const std::string payload = w.Take();
-  {
-    BlobReader r(payload, "test");
-    EXPECT_EQ(r.GetU32(), 7u);
-    EXPECT_EQ(r.GetDouble(), 0.25);
-    EXPECT_EQ(r.GetString(), "abc");
-    EXPECT_TRUE(r.status().ok());
-    EXPECT_TRUE(r.Finish().ok());
-  }
-  {
-    BlobReader r(payload, "test");
-    EXPECT_EQ(r.GetU32(), 7u);
-    EXPECT_FALSE(r.Finish().ok());  // undecoded bytes remain
-  }
-  {
-    const std::string cut = payload.substr(0, payload.size() - 1);
-    BlobReader r(cut, "test");
-    r.GetU32();
-    r.GetDouble();
-    r.GetString();
-    EXPECT_FALSE(r.status().ok());  // over-ran the buffer
-  }
+/// One small fixed instance of every byte string a checkpoint holds:
+/// the five phase-state payloads, plus the manifest and phase-file
+/// headers of a one-phase checkpoint written to `dir`.
+std::vector<std::pair<std::string, std::string>> GoldenPayloads(
+    const std::string& dir) {
+  MetricBag counters;
+  counters.Increment("records", 42);
+  counters.SetGauge("peak", 17.5);
+  counters.Observe("sizes", 3.0);
+  counters.Observe("sizes", 1000.0);
+
+  HistogramPhaseState histogram;
+  histogram.histograms = {stats::Histogram(3), stats::Histogram(2)};
+  histogram.histograms[0].counts() = {1, 2, 3};
+  histogram.histograms[1].counts() = {0, 5};
+  histogram.counters = counters;
+
+  CoresPhaseState cores;
+  cores.stats.num_levels = 2;
+  cores.stats.num_candidates_generated = 17;
+  cores.stats.num_signatures_counted = 11;
+  cores.stats.num_proven = 4;
+  cores.stats.num_support_batches = 3;
+  cores.stats.num_maximal = 2;
+  cores.stats.truncated = true;
+  cores.stats.num_after_redundancy = 1;
+  core::ClusterCore first;
+  first.signature =
+      core::Signature::Make({{4, 0.0, 0.125}, {1, 0.25, 0.5}}).value();
+  first.support = 120;
+  first.expected_support = 7.5;
+  core::ClusterCore second;
+  second.signature = core::Signature::Single({2, 0.5, 0.75});
+  second.support = 40;
+  second.expected_support = 3.25;
+  cores.cores = {first, second};
+  cores.counters = counters;
+
+  SupportSetsPhaseState support_sets;
+  support_sets.support_sets = {{0, 2, 5}, {}, {1}};
+  support_sets.unique_assignment = {0, 2, -1, 0, -1, 0};
+  support_sets.counters = counters;
+
+  GmmPhaseState gmm;
+  gmm.model.arel = {1, 4};
+  core::GaussianComponent component;
+  component.mean = {0.25, 0.75};
+  component.cov = linalg::Matrix(2, 2);
+  component.cov.data() = {1.0, 0.5, 0.5, 2.0};
+  component.weight = 0.625;
+  gmm.model.components = {component, core::GaussianComponent{}};
+  gmm.counters = counters;
+
+  MembershipPhaseState membership;
+  membership.membership = {0, -1, 1, 1};
+  membership.counters = counters;
+
+  std::vector<std::pair<std::string, std::string>> out = {
+      {"histogram", EncodeHistogramState(histogram)},
+      {"cluster-cores", EncodeCoresState(cores)},
+      {"support-sets", EncodeSupportSetsState(support_sets)},
+      {"em-refinement", EncodeGmmState(gmm)},
+      {"outlier-detection", EncodeMembershipState(membership)},
+  };
+
+  CheckpointManager::Options options;
+  options.dir = dir;
+  options.dataset_fingerprint = 0x0123456789abcdefULL;
+  options.params_hash = ParamsHash(core::P3CParams{});
+  CheckpointManager manager(options);
+  manager.Initialize();
+  if (!manager.CommitPhase("histogram", out[0].second).ok()) return {};
+  out.emplace_back("manifest",
+                   data::ReadBlobFile(dir + "/" + kManifestFilename,
+                                      kManifestBlobKind)
+                       .value());
+  out.emplace_back("phase file",
+                   data::ReadBlobFile(PhaseFile(dir, 0, "histogram"),
+                                      kPhaseBlobKind)
+                       .value());
+  return out;
 }
 
-TEST(BlobCodec, MetricBagRoundTripsExactly) {
-  MetricBag bag;
-  bag.Increment("records", 42);
-  bag.SetGauge("peak", 17.5);
-  bag.Observe("sizes", 3.0);
-  bag.Observe("sizes", 1000.0);
-  BlobWriter w;
-  EncodeMetricBag(bag, w);
-  const std::string payload = w.Take();
-  BlobReader r(payload, "test");
-  auto decoded = DecodeMetricBag(r);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->ToJson(), bag.ToJson());
-  EXPECT_TRUE(decoded->values() == bag.values());
+TEST(CheckpointFormat, GoldenBytesAreUnchanged) {
+  // Sizes and FNV-1a hashes of GoldenPayloads() under format version 1.
+  // A change to any of them orphans every checkpoint already on disk:
+  // bump kCheckpointFormatVersion (so old manifests are discarded as
+  // version skew) rather than editing a constant.
+  struct Golden {
+    const char* name;
+    size_t size;
+    uint64_t fnv;
+  };
+  const std::vector<Golden> kGolden = {
+      {"histogram", 988, 0x74a9325aa4786cf5ULL},
+      {"cluster-cores", 1112, 0xe394521b846daf91ULL},
+      {"support-sets", 1004, 0xf756604bd7457ddcULL},
+      {"em-refinement", 1068, 0xd21a9977b05cfec4ULL},
+      {"outlier-detection", 948, 0x283a837eea937a77ULL},
+      {"manifest", 83, 0x821cfdac4fe1fe14ULL},
+      {"phase file", 1041, 0xab3f36f0e61418d4ULL},
+  };
+  EXPECT_EQ(kCheckpointFormatVersion, 1u);
+  EXPECT_EQ(ParamsHash(core::P3CParams{}), 0x4dd4f85f9a911291ULL);
+  const auto payloads = GoldenPayloads(TempDir("golden"));
+  ASSERT_EQ(payloads.size(), kGolden.size());
+  for (size_t i = 0; i < kGolden.size(); ++i) {
+    SCOPED_TRACE(kGolden[i].name);
+    const std::string& bytes = payloads[i].second;
+    EXPECT_EQ(payloads[i].first, kGolden[i].name);
+    EXPECT_EQ(bytes.size(), kGolden[i].size);
+    EXPECT_EQ(data::Fnv1a64(bytes.data(), bytes.size()), kGolden[i].fnv);
+  }
+
+  // The decoders read the pinned bytes back to the same states.
+  EXPECT_EQ(EncodeHistogramState(*DecodeHistogramState(payloads[0].second)),
+            payloads[0].second);
+  EXPECT_EQ(EncodeCoresState(*DecodeCoresState(payloads[1].second)),
+            payloads[1].second);
+  EXPECT_EQ(
+      EncodeSupportSetsState(*DecodeSupportSetsState(payloads[2].second)),
+      payloads[2].second);
+  EXPECT_EQ(EncodeGmmState(*DecodeGmmState(payloads[3].second)),
+            payloads[3].second);
+  EXPECT_EQ(EncodeMembershipState(*DecodeMembershipState(payloads[4].second)),
+            payloads[4].second);
 }
 
 // ---------------------------------------------------------------------------
@@ -456,13 +542,41 @@ TEST_F(HostileCheckpointTest, VersionSkewedManifest) {
   const std::string dir = MakeCheckpoint("version_skew");
   // A structurally valid blob whose payload announces a future format
   // version: must be rejected as skew, not misparsed.
-  BlobWriter w;
+  wire::WireWriter w;
   w.PutU32(kCheckpointFormatVersion + 1);
   ASSERT_TRUE(data::WriteBlobFile(dir + "/" + kManifestFilename,
                                   kManifestBlobKind, w.Take())
                   .ok());
   ExpectCleanFallback(data_.dataset, baseline_, dir,
                       "version-skewed manifest");
+}
+
+TEST_F(HostileCheckpointTest, HostileStringLengthInPhaseFile) {
+  // The phase file's name string claims 2^64 - 8 bytes; the blob and the
+  // manifest are re-checksummed so only the payload decoder can object.
+  // A length check written as `pos + n > size` wraps here.
+  const std::string dir = MakeCheckpoint("hostile_length");
+  const std::string path = PhaseFile(dir, 0, "histogram");
+  std::string payload = data::ReadBlobFile(path, kPhaseBlobKind).value();
+  const uint64_t old_checksum = data::Fnv1a64(payload.data(), payload.size());
+  const uint64_t hostile_length = ~uint64_t{0} - 7;
+  constexpr size_t kNameLengthOffset = 4 + 8;  // after version + index
+  std::memcpy(payload.data() + kNameLengthOffset, &hostile_length,
+              sizeof(hostile_length));
+  const uint64_t new_checksum = data::Fnv1a64(payload.data(), payload.size());
+  ASSERT_TRUE(data::WriteBlobFile(path, kPhaseBlobKind, payload).ok());
+
+  const std::string manifest_path = dir + "/" + kManifestFilename;
+  std::string manifest =
+      data::ReadBlobFile(manifest_path, kManifestBlobKind).value();
+  const size_t at = manifest.find(std::string(
+      reinterpret_cast<const char*>(&old_checksum), sizeof(old_checksum)));
+  ASSERT_NE(at, std::string::npos);
+  std::memcpy(manifest.data() + at, &new_checksum, sizeof(new_checksum));
+  ASSERT_TRUE(
+      data::WriteBlobFile(manifest_path, kManifestBlobKind, manifest).ok());
+  ExpectCleanFallback(data_.dataset, baseline_, dir,
+                      "hostile string length in a phase file");
 }
 
 TEST_F(HostileCheckpointTest, ParameterMismatch) {

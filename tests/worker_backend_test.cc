@@ -122,7 +122,10 @@ TEST(WireTest, TrailingBytesRejectedByFinish) {
   const std::string bytes = w.Take();
   wire::WireReader r(bytes, "test");
   EXPECT_EQ(r.GetU64(), 7u);
-  EXPECT_FALSE(r.Finish().ok());
+  const Status finish = r.Finish();
+  EXPECT_FALSE(finish.ok());
+  EXPECT_NE(finish.ToString().find("4 trailing bytes"), std::string::npos)
+      << finish.ToString();
 }
 
 TEST(WireTest, TruncatedPayloadIsSticky) {
@@ -137,11 +140,52 @@ TEST(WireTest, TruncatedPayloadIsSticky) {
   EXPECT_FALSE(r.Finish().ok());
 }
 
+TEST(WireTest, OverrunErrorNamesContextOffsetAndSize) {
+  wire::WireWriter w;
+  w.PutU32(7);
+  w.PutDouble(0.25);
+  w.PutString("abc");
+  std::string bytes = w.Take();
+  bytes.pop_back();  // the string is one byte short
+  wire::WireReader r(bytes, "phase-0-histogram.p3ck");
+  EXPECT_EQ(r.GetU32(), 7u);
+  EXPECT_EQ(r.GetDouble(), 0.25);
+  EXPECT_EQ(r.GetString(), "");
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().ToString().find(
+                "phase-0-histogram.p3ck: truncated payload (need 3 bytes at "
+                "offset 20 of 22)"),
+            std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(WireTest, HostileStringLengthCannotWrapTheCursor) {
+  // [u64 count = 40][u64 len = 2^64 - 8][48 bytes]: `pos + len` wraps to
+  // offset 8, so a check written as `pos + n > size` would accept it and
+  // rewind the cursor, decoding 40 strings out of 64 bytes.
+  wire::WireWriter w;
+  w.PutU64(40);
+  w.PutU64(~uint64_t{0} - 7);
+  const std::string filler(48, 'x');
+  w.PutRaw(filler.data(), filler.size());
+  const std::string bytes = w.Take();
+  ASSERT_EQ(bytes.size(), 64u);
+  wire::WireReader r(bytes, "hostile");
+  std::vector<std::string> strings;
+  r.Get(&strings);
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().ToString().find("at offset 16 of 64"),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_TRUE(strings.empty());
+}
+
 TEST(WireTest, MetricBagRoundTrips) {
   MetricBag bag;
   bag.Increment("records", 12);
   bag.SetGauge("peak", 4096);
   bag.Observe("latency", 0.25);
+  bag.Observe("latency", 1000.0);
   wire::WireWriter w;
   wire::EncodeMetricBag(bag, w);
   const std::string bytes = w.Take();
@@ -150,6 +194,7 @@ TEST(WireTest, MetricBagRoundTrips) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_TRUE(r.Finish().ok());
   EXPECT_EQ(decoded->ToJson(), bag.ToJson());
+  EXPECT_TRUE(decoded->values() == bag.values());  // exact, not via JSON
 }
 
 TEST(WireTest, ResultFrameRoundTrips) {

@@ -145,8 +145,9 @@ case "${MODE}" in
   checkpoint-smoke)
     # The checkpoint/resume suite: resume-at-every-phase-boundary
     # determinism and the hostile-checkpoint scenarios. ASan/UBSan guards
-    # the blob decoders against hostile payloads (truncation, bit flips,
-    # version skew must degrade to a clean fresh run, never an OOB read);
+    # the payload decoders against hostile payloads (truncation, bit
+    # flips, version skew, wrapping lengths must degrade to a clean fresh
+    # run, never an OOB read);
     # TSan re-runs the full pipeline phases around each commit point.
     LABEL="checkpoint-smoke"
     run_suite "ASan+UBSan checkpoint-smoke" Sanitize build-asan \
