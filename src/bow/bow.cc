@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "src/common/random.h"
 #include "src/common/stopwatch.h"
@@ -94,7 +95,8 @@ Result<core::ClusteringResult> BoW::Cluster(const data::Dataset& dataset) {
       options_.sample_fraction > 0.0 && options_.sample_fraction <= 1.0
           ? options_.sample_fraction
           : 1.0;
-  pool.ParallelFor(num_blocks, [&](size_t b) {
+  // The [begin, end) of block b's points the plug-in clusters.
+  const auto clustered_range = [&](size_t b) {
     const size_t begin = b * block_size;
     size_t end = std::min(n, begin + block_size);
     if (sample_fraction < 1.0) {
@@ -104,6 +106,15 @@ Result<core::ClusteringResult> BoW::Cluster(const data::Dataset& dataset) {
           static_cast<double>(end - begin) * sample_fraction);
       end = begin + std::max<size_t>(1, sampled);
     }
+    return std::pair{begin, end};
+  };
+  num_points_clustered_ = 0;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const auto [begin, end] = clustered_range(b);
+    num_points_clustered_ += end - begin;
+  }
+  pool.ParallelFor(num_blocks, [&](size_t b) {
+    const auto [begin, end] = clustered_range(b);
     std::vector<data::PointId> ids(permutation.begin() + begin,
                                    permutation.begin() + end);
     const data::Dataset block = dataset.Select(ids);

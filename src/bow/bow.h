@@ -67,12 +67,16 @@ class BoW {
 
   /// Number of blocks the most recent run used.
   size_t num_blocks() const { return num_blocks_; }
+  /// Points the per-block clusterers ran on in the most recent run,
+  /// summed over blocks: n in full mode, ~sample_fraction * n sampled.
+  size_t num_points_clustered() const { return num_points_clustered_; }
   /// Number of rectangle merges the stitching phase performed.
   size_t num_merges() const { return num_merges_; }
 
  private:
   BoWOptions options_;
   size_t num_blocks_ = 0;
+  size_t num_points_clustered_ = 0;
   size_t num_merges_ = 0;
 };
 

@@ -9,7 +9,6 @@
 
 #include "src/common/atomic_file.h"
 #include "src/common/stopwatch.h"
-#include "src/common/string_util.h"
 #include "src/core/driver.h"
 #include "src/core/rssc.h"
 
@@ -56,7 +55,7 @@ Status BinaryDatasetReader::ForEachBlock(
   // Running payload checksum: whole-file corruption detection amortized
   // over the pass, verified only when the pass reaches the end (a
   // callback abort leaves the tail unread).
-  uint64_t checksum = 14695981039346656037ull;
+  data::PayloadVerifier verifier(header_);
   std::vector<double> buffer;
   while (row < header_.num_points) {
     const uint64_t rows =
@@ -67,8 +66,7 @@ Status BinaryDatasetReader::ForEachBlock(
       status = Status::IOError("truncated payload: " + path_);
       break;
     }
-    checksum = data::Fnv1a64(buffer.data(), buffer.size() * sizeof(double),
-                             checksum);
+    verifier.Update(buffer.data(), buffer.size() * sizeof(double));
     Result<data::Dataset> block = data::Dataset::FromRowMajor(
         std::move(buffer), static_cast<size_t>(header_.num_dims));
     if (!block.ok()) {
@@ -80,13 +78,8 @@ Status BinaryDatasetReader::ForEachBlock(
     buffer = std::vector<double>();  // FromRowMajor consumed it
     row += rows;
   }
-  if (status.ok() && row >= header_.num_points && header_.version >= 2 &&
-      checksum != header_.checksum) {
-    status = Status::IOError(StringPrintf(
-        "%s: payload checksum mismatch (header %016llx, computed %016llx): "
-        "file is corrupt",
-        path_.c_str(), static_cast<unsigned long long>(header_.checksum),
-        static_cast<unsigned long long>(checksum)));
+  if (status.ok() && row >= header_.num_points) {
+    status = verifier.Verify(path_);
   }
   std::fclose(f);
   return status;

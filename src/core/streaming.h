@@ -33,8 +33,8 @@ class BinaryDatasetReader {
   /// One sequential pass: invokes `fn(first_row_id, block)` for
   /// consecutive blocks of up to `block_rows` rows. Stops at the first
   /// failing callback. A pass that streams the whole payload also
-  /// verifies the container checksum (version >= 2) and fails with a
-  /// descriptive Status on corrupt data.
+  /// verifies it (data::PayloadVerifier) and fails with a descriptive
+  /// Status on corrupt data.
   Status ForEachBlock(
       size_t block_rows,
       const std::function<Status(data::PointId, const data::Dataset&)>& fn)

@@ -1,11 +1,13 @@
 #include "src/data/io.h"
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "src/common/atomic_file.h"
@@ -17,12 +19,14 @@ namespace {
 
 constexpr char kMagic[4] = {'P', '3', 'C', 'D'};
 /// v1: magic + version + n + d. v2 appends a u64 FNV-1a payload
-/// checksum. Writers emit v2; readers accept both.
-constexpr uint32_t kVersion = 2;
+/// checksum; v3 keeps that layout with a WordChecksum in the field.
+/// Writers emit v3; readers accept all three.
+constexpr uint32_t kVersion = 3;
 constexpr uint32_t kMinVersion = 1;
 constexpr size_t kHeaderBytesV1 = sizeof(kMagic) + sizeof(uint32_t) +
                                   2 * sizeof(uint64_t);
 constexpr size_t kHeaderBytesV2 = kHeaderBytesV1 + sizeof(uint64_t);
+constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 /// RAII FILE* wrapper.
 class File {
@@ -128,9 +132,100 @@ Result<Dataset> ReadDataset(const std::string& path) {
 uint64_t Fnv1a64(const void* data, size_t len, uint64_t state) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < len; ++i) {
-    state = (state ^ bytes[i]) * 1099511628211ull;
+    state = (state ^ bytes[i]) * kFnvPrime;
   }
   return state;
+}
+
+namespace {
+
+uint64_t LoadLittleEndian64(const unsigned char* bytes) {
+  uint64_t word;
+  std::memcpy(&word, bytes, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+uint64_t LaneStep(uint64_t lane, uint64_t word) {
+  return std::rotl((lane ^ word) * kFnvPrime, 31);
+}
+
+}  // namespace
+
+void WordChecksum::Update(const void* data, size_t len) {
+  if (len == 0) return;
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  const auto add_word = [this](const unsigned char* word) {
+    uint64_t& lane = lanes_[words_++ % 4];
+    lane = LaneStep(lane, LoadLittleEndian64(word));
+  };
+  if (tail_len_ > 0) {
+    const size_t take = std::min(len, sizeof(tail_) - tail_len_);
+    std::memcpy(tail_ + tail_len_, bytes, take);
+    tail_len_ += take;
+    bytes += take;
+    len -= take;
+    if (tail_len_ < sizeof(tail_)) return;
+    add_word(tail_);
+    tail_len_ = 0;
+  }
+  for (; len >= 8 && words_ % 4 != 0; bytes += 8, len -= 8) add_word(bytes);
+  // Four independent multiply chains keep the multiplier busy; this
+  // loop is where a payload pass spends its checksum time.
+  uint64_t h0 = lanes_[0], h1 = lanes_[1], h2 = lanes_[2], h3 = lanes_[3];
+  const size_t quads = len / 32;
+  for (size_t q = 0; q < quads; ++q, bytes += 32) {
+    h0 = LaneStep(h0, LoadLittleEndian64(bytes));
+    h1 = LaneStep(h1, LoadLittleEndian64(bytes + 8));
+    h2 = LaneStep(h2, LoadLittleEndian64(bytes + 16));
+    h3 = LaneStep(h3, LoadLittleEndian64(bytes + 24));
+  }
+  lanes_[0] = h0;
+  lanes_[1] = h1;
+  lanes_[2] = h2;
+  lanes_[3] = h3;
+  words_ += 4 * quads;
+  len -= 32 * quads;
+  for (; len >= 8; bytes += 8, len -= 8) add_word(bytes);
+  std::memcpy(tail_, bytes, len);
+  tail_len_ = len;
+}
+
+uint64_t WordChecksum::Digest() const {
+  uint64_t h = Fnv1a64(tail_, tail_len_,
+                       14695981039346656037ull ^ (8 * words_ + tail_len_));
+  for (const uint64_t lane : lanes_) h = LaneStep(h, lane);
+  // MurmurHash3's fmix64: a bijective avalanche of the combined state.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+PayloadVerifier::PayloadVerifier(const BinaryHeader& header)
+    : version_(header.version), expected_(header.checksum) {}
+
+void PayloadVerifier::Update(const void* data, size_t len) {
+  if (version_ == 2) {
+    fnv_ = Fnv1a64(data, len, fnv_);
+  } else if (version_ >= 3) {
+    word_.Update(data, len);
+  }
+}
+
+Status PayloadVerifier::Verify(const std::string& path) const {
+  if (version_ < 2) return Status::OK();
+  const uint64_t computed = version_ == 2 ? fnv_ : word_.Digest();
+  if (computed == expected_) return Status::OK();
+  return Status::IOError(StringPrintf(
+      "%s: payload checksum mismatch (header %016llx, computed %016llx): "
+      "file is corrupt",
+      path.c_str(), static_cast<unsigned long long>(expected_),
+      static_cast<unsigned long long>(computed)));
 }
 
 Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path) {
@@ -167,9 +262,20 @@ Result<BinaryHeader> ReadBinaryHeader(std::FILE* f, const std::string& path) {
 
 Status ValidateBinarySize(const BinaryHeader& header, uint64_t file_size,
                           const std::string& path) {
+  const uint64_t n = header.num_points;
+  const uint64_t d = header.num_dims;
+  const uint64_t max_doubles =
+      (std::numeric_limits<uint64_t>::max() - header.header_bytes) /
+      sizeof(double);
+  if (d != 0 && n > max_doubles / d) {
+    return Status::IOError(StringPrintf(
+        "%s: %llu points x %llu dims overflows a 64-bit container size "
+        "(corrupt header)",
+        path.c_str(), static_cast<unsigned long long>(n),
+        static_cast<unsigned long long>(d)));
+  }
   const uint64_t expected =
-      static_cast<uint64_t>(header.header_bytes) +
-      header.num_points * header.num_dims * sizeof(double);
+      static_cast<uint64_t>(header.header_bytes) + n * d * sizeof(double);
   if (file_size == expected) return Status::OK();
   return Status::IOError(StringPrintf(
       "%s: %llu points x %llu dims implies %llu bytes, file has %llu "
@@ -186,8 +292,9 @@ Status WriteBinary(const Dataset& dataset, const std::string& path) {
   const uint64_t n = dataset.num_points();
   const uint64_t d = dataset.num_dims();
   const auto& values = dataset.values();
-  const uint64_t checksum =
-      Fnv1a64(values.data(), values.size() * sizeof(double));
+  WordChecksum payload_checksum;
+  payload_checksum.Update(values.data(), values.size() * sizeof(double));
+  const uint64_t checksum = payload_checksum.Digest();
   P3C_RETURN_NOT_OK(writer.Append(kMagic, sizeof(kMagic)));
   P3C_RETURN_NOT_OK(writer.Append(&kVersion, sizeof(kVersion)));
   P3C_RETURN_NOT_OK(writer.Append(&n, sizeof(n)));
@@ -227,17 +334,9 @@ Result<Dataset> ReadBinary(const std::string& path) {
           values.size()) {
     return Status::IOError("truncated payload: " + path);
   }
-  if (header->version >= 2) {
-    const uint64_t checksum =
-        Fnv1a64(values.data(), values.size() * sizeof(double));
-    if (checksum != header->checksum) {
-      return Status::IOError(StringPrintf(
-          "%s: payload checksum mismatch (header %016llx, computed %016llx): "
-          "file is corrupt",
-          path.c_str(), static_cast<unsigned long long>(header->checksum),
-          static_cast<unsigned long long>(checksum)));
-    }
-  }
+  PayloadVerifier verifier(*header);
+  verifier.Update(values.data(), values.size() * sizeof(double));
+  P3C_RETURN_NOT_OK(verifier.Verify(path));
   if (d == 0) return Dataset();
   return Dataset::FromRowMajor(std::move(values), d);
 }

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -22,6 +23,25 @@ namespace {
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+/// Hand-writes a version-2 container (byte-serial FNV-1a checksum).
+void WriteVersion2(const std::string& path, uint64_t n, uint64_t d,
+                   const std::vector<double>& values) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  const char magic[4] = {'P', '3', 'C', 'D'};
+  const uint32_t version = 2;
+  const uint64_t checksum =
+      data::Fnv1a64(values.data(), values.size() * sizeof(double));
+  ASSERT_EQ(std::fwrite(magic, 1, sizeof(magic), f), sizeof(magic));
+  ASSERT_EQ(std::fwrite(&version, sizeof(version), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&n, sizeof(n), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&d, sizeof(d), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(&checksum, sizeof(checksum), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(values.data(), sizeof(double), values.size(), f),
+            values.size());
+  std::fclose(f);
 }
 
 data::SyntheticData MakeData(uint64_t seed, size_t n = 6000) {
@@ -151,6 +171,52 @@ TEST(BinaryDatasetReaderTest, AbortedPassSkipsChecksumVerification) {
       });
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryDatasetReaderTest, FullPassVerifiesVersion2Container) {
+  const auto data = MakeData(59, 400);
+  const std::string path = TempPath("reader_v2.p3cd");
+  WriteVersion2(path, data.dataset.num_points(), data.dataset.num_dims(),
+                data.dataset.values());
+  auto reader = BinaryDatasetReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<double> seen;
+  Status st = reader->ForEachBlock(
+      128, [&](data::PointId, const data::Dataset& block) {
+        seen.insert(seen.end(), block.values().begin(), block.values().end());
+        return Status::OK();
+      });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(seen, data.dataset.values());
+
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, 64, SEEK_SET), 0);
+  std::fputc(byte ^ 0x01, f);
+  std::fclose(f);
+  st = reader->ForEachBlock(
+      128, [](data::PointId, const data::Dataset&) { return Status::OK(); });
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("checksum mismatch"), std::string::npos)
+      << st.ToString();
+  std::remove(path.c_str());
+}
+
+TEST(BinaryDatasetReaderTest, OpenRejectsHeaderWhoseSizeOverflows) {
+  // n * d * 8 = (2^61 + 1) * 64 wraps to the 64 payload bytes written;
+  // unchecked, Open succeeded and the first pass failed as "truncated".
+  const std::string path = TempPath("reader_overflow.p3cd");
+  WriteVersion2(path, (uint64_t{1} << 61) + 1, 8, std::vector<double>(8, 0.5));
+  auto reader = BinaryDatasetReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(reader.status().message(),
+            path + ": 2305843009213693953 points x 8 dims overflows a "
+                   "64-bit container size (corrupt header)");
   std::remove(path.c_str());
 }
 
