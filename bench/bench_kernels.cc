@@ -1,7 +1,7 @@
 // Kernel-backend microbenchmark: every backend AvailableBackends()
-// reports, timed against the scalar reference on the three ported hot
+// reports, timed against the scalar reference on the four ported hot
 // loops — RSSC support counting, histogram binning, and the GMM E-step
-// softmax — with the outputs verified bit-identical in-bench (a speedup
+// softmax and triangular solves — with the outputs verified bit-identical in-bench (a speedup
 // that changes results is a bug, not a win). Each (kernel, size,
 // backend) cell reports the min over bench::Repeats() runs.
 //
@@ -13,6 +13,7 @@
 // committed numbers: the fastest non-scalar backend must hold a >= 2x
 // speedup on rssc_support at >= 256 signatures.
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -165,7 +166,10 @@ Row BenchSoftmax(const Ops& ops, size_t k) {
       out = logw;
       uint64_t h = 1469598103934665603ull;
       for (size_t i = 0; i < n; ++i) {
-        h = h * 31 + backend.softmax_normalize(out.data() + i * k, k);
+        double log_sum_exp = 0.0;
+        h = h * 31 +
+            backend.softmax_normalize(out.data() + i * k, k, &log_sum_exp);
+        h = h * 31 + std::bit_cast<uint64_t>(log_sum_exp);
       }
       argmax_hash = h;
     });
@@ -188,6 +192,61 @@ Row BenchSoftmax(const Ops& ops, size_t k) {
   row.peak_bytes = mem.Finish();
   row.outputs_identical =
       hash_expected == hash_actual &&
+      std::memcmp(expected.data(), actual.data(),
+                  expected.size() * sizeof(double)) == 0;
+  return row;
+}
+
+// ---- GMM E-step triangular solves -------------------------------------------
+
+Row BenchMahalanobis(const Ops& ops, size_t k) {
+  using p3c::core::kernels::kBatchLanes;
+  const size_t dim = 28;  // |Arel| of the mr-full benchmark's mixture
+  const size_t n = p3c::bench::Scaled(50000);
+  const size_t groups = (k + kBatchLanes - 1) / kBatchLanes;
+  Rng rng(k + 101);
+  // A random lower factor with a dominant diagonal per component.
+  std::vector<double> factors(groups * dim * dim * kBatchLanes, 0.0);
+  std::vector<double> means(groups * dim * kBatchLanes);
+  for (size_t g = 0; g < groups; ++g) {
+    for (size_t j = 0; j < dim; ++j) {
+      for (size_t i = j; i < dim; ++i) {
+        for (size_t l = 0; l < kBatchLanes; ++l) {
+          factors[((g * dim + j) * dim + i) * kBatchLanes + l] =
+              i == j ? 1.0 + rng.Uniform() : 0.1 * rng.Uniform(-1.0, 1.0);
+        }
+      }
+    }
+  }
+  for (auto& v : means) v = rng.Uniform();
+  std::vector<double> xs(n * dim);
+  for (auto& v : xs) v = rng.Uniform();
+
+  auto run = [&](const Ops& backend, std::vector<double>& out) {
+    return MinSeconds([&] {
+      std::vector<double> scratch(dim * kBatchLanes);
+      out.assign(n * groups * kBatchLanes, 0.0);
+      for (size_t i = 0; i < n; ++i) {
+        backend.mahalanobis_batch(xs.data() + i * dim, means.data(),
+                                  factors.data(), dim, groups, scratch.data(),
+                                  out.data() + i * groups * kBatchLanes);
+      }
+    });
+  };
+
+  std::vector<double> expected;
+  std::vector<double> actual;
+  CellMemory mem("gmm_trisolve");
+  Row row{"gmm_trisolve", k, ops.name};
+  row.scalar_seconds = run(p3c::core::kernels::ScalarOps(), expected);
+  row.seconds = run(ops, actual);
+  mem.Charge(static_cast<int64_t>(
+      (factors.capacity() + means.capacity() + xs.capacity() +
+       expected.capacity() + actual.capacity()) *
+      sizeof(double)));
+  row.speedup = row.seconds > 0.0 ? row.scalar_seconds / row.seconds : 0.0;
+  row.peak_bytes = mem.Finish();
+  row.outputs_identical =
       std::memcmp(expected.data(), actual.data(),
                   expected.size() * sizeof(double)) == 0;
   return row;
@@ -221,6 +280,9 @@ int main(int argc, char** argv) {
     }
     for (size_t k : {size_t{4}, size_t{16}}) {
       rows.push_back(BenchSoftmax(*ops, k));
+    }
+    for (size_t k : {size_t{5}, size_t{8}}) {
+      rows.push_back(BenchMahalanobis(*ops, k));
     }
   }
   bool all_identical = true;

@@ -1,6 +1,7 @@
 #include "src/core/gmm.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -73,9 +74,15 @@ linalg::Matrix SmallIdentity(size_t dim) {
 }  // namespace
 
 linalg::Vector GmmModel::Project(std::span<const double> row) const {
-  linalg::Vector out(arel.size());
-  for (size_t i = 0; i < arel.size(); ++i) out[i] = row[arel[i]];
+  linalg::Vector out;
+  Project(row, out);
   return out;
+}
+
+void GmmModel::Project(std::span<const double> row,
+                       linalg::Vector& out) const {
+  out.resize(arel.size());
+  for (size_t i = 0; i < arel.size(); ++i) out[i] = row[arel[i]];
 }
 
 std::vector<size_t> RelevantAttributeUnion(
@@ -116,28 +123,73 @@ Result<GmmEvaluator> GmmEvaluator::Make(const GmmModel& model, double ridge) {
   return GmmEvaluator(std::move(factors));
 }
 
-double GmmEvaluator::LogWeightedDensity(size_t k,
-                                        const linalg::Vector& x) const {
+GmmEvaluator::GmmEvaluator(std::vector<Factor> factors)
+    : factors_(std::move(factors)),
+      dim_(factors_.empty() ? 0 : factors_.front().mean.size()),
+      num_groups_((factors_.size() + kernels::kBatchLanes - 1) /
+                  kernels::kBatchLanes) {
+  constexpr size_t kLanes = kernels::kBatchLanes;
+  const size_t n = dim_;
+  packed_means_.assign(num_groups_ * n * kLanes, 0.0);
+  packed_factors_.assign(num_groups_ * n * n * kLanes, 0.0);
+  for (size_t c = 0; c < num_groups_ * kLanes; ++c) {
+    const size_t g = c / kLanes;
+    const size_t lane = c % kLanes;
+    double* mean = packed_means_.data() + g * n * kLanes + lane;
+    double* lt = packed_factors_.data() + g * n * n * kLanes + lane;
+    for (size_t j = 0; j < n; ++j) {
+      if (c >= factors_.size()) {  // padding lane: zero mean, identity
+        lt[(j * n + j) * kLanes] = 1.0;
+        continue;
+      }
+      mean[j * kLanes] = factors_[c].mean[j];
+      for (size_t i = j; i < n; ++i) {
+        lt[(j * n + i) * kLanes] = factors_[c].chol.lower()(i, j);
+      }
+    }
+  }
+}
+
+const double* GmmEvaluator::AllMahalanobisSquared(
+    const linalg::Vector& x, linalg::Vector& scratch) const {
+  assert(x.size() == dim_);
+  const size_t solve_space = dim_ * kernels::kBatchLanes;
+  scratch.resize(solve_space + num_groups_ * kernels::kBatchLanes);
+  double* d2 = scratch.data() + solve_space;
+  kernels::Active().mahalanobis_batch(x.data(), packed_means_.data(),
+                                      packed_factors_.data(), dim_,
+                                      num_groups_, scratch.data(), d2);
+  return d2;
+}
+
+double GmmEvaluator::LogWeightedDensity(size_t k, const linalg::Vector& x,
+                                        linalg::Vector& scratch) const {
   const Factor& f = factors_[k];
-  return f.log_norm - 0.5 * f.chol.MahalanobisSquared(x, f.mean);
+  return f.log_norm - 0.5 * f.chol.MahalanobisSquared(x, f.mean, scratch);
 }
 
-size_t GmmEvaluator::Responsibilities(const linalg::Vector& x,
-                                      std::vector<double>& r) const {
+GmmEvaluator::Posterior GmmEvaluator::EStep(const linalg::Vector& x,
+                                            std::vector<double>& r,
+                                            linalg::Vector& scratch) const {
   const size_t k = factors_.size();
+  const double* d2 = AllMahalanobisSquared(x, scratch);
   r.resize(k);
-  for (size_t i = 0; i < k; ++i) r[i] = LogWeightedDensity(i, x);
-  // In-place log-sum-exp softmax; every backend is bit-exact with the
-  // scalar reference (kernel-smoke), so results don't depend on which
-  // backend dispatch picked.
-  return kernels::Active().softmax_normalize(r.data(), k);
+  for (size_t i = 0; i < k; ++i) r[i] = factors_[i].log_norm - 0.5 * d2[i];
+  // In-place log-sum-exp softmax; one implementation serves every
+  // backend, so results don't depend on which backend dispatch picked.
+  Posterior posterior;
+  posterior.argmax = kernels::Active().softmax_normalize(
+      r.data(), k, &posterior.log_likelihood);
+  return posterior;
 }
 
-size_t GmmEvaluator::HardAssign(const linalg::Vector& x) const {
+size_t GmmEvaluator::HardAssign(const linalg::Vector& x,
+                                linalg::Vector& scratch) const {
+  const double* d2 = AllMahalanobisSquared(x, scratch);
   double best = -std::numeric_limits<double>::infinity();
   size_t argmax = 0;
   for (size_t i = 0; i < factors_.size(); ++i) {
-    const double l = LogWeightedDensity(i, x);
+    const double l = factors_[i].log_norm - 0.5 * d2[i];
     if (l > best) {
       best = l;
       argmax = i;
@@ -146,21 +198,23 @@ size_t GmmEvaluator::HardAssign(const linalg::Vector& x) const {
   return argmax;
 }
 
-double GmmEvaluator::MahalanobisSquared(size_t k,
-                                        const linalg::Vector& x) const {
-  return factors_[k].chol.MahalanobisSquared(x, factors_[k].mean);
+size_t GmmEvaluator::MahalanobisNearest(const linalg::Vector& x,
+                                        linalg::Vector& scratch) const {
+  const double* d2 = AllMahalanobisSquared(x, scratch);
+  double best_dist = std::numeric_limits<double>::infinity();
+  size_t best = 0;
+  for (size_t i = 0; i < factors_.size(); ++i) {
+    if (d2[i] < best_dist) {
+      best_dist = d2[i];
+      best = i;
+    }
+  }
+  return best;
 }
 
-double GmmEvaluator::LogLikelihood(const linalg::Vector& x) const {
-  double max_log = -std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < factors_.size(); ++i) {
-    max_log = std::max(max_log, LogWeightedDensity(i, x));
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < factors_.size(); ++i) {
-    sum += std::exp(LogWeightedDensity(i, x) - max_log);
-  }
-  return max_log + std::log(sum);
+double GmmEvaluator::MahalanobisSquared(size_t k, const linalg::Vector& x,
+                                        linalg::Vector& scratch) const {
+  return factors_[k].chol.MahalanobisSquared(x, factors_[k].mean, scratch);
 }
 
 Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
@@ -190,6 +244,7 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
   ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
     std::vector<uint64_t> bits;
     std::vector<uint32_t> ids;
+    linalg::Vector x;
     auto& accs = locals[task];
     for (size_t i = begin; i < end; ++i) {
       const auto row = dataset.Row(static_cast<data::PointId>(i));
@@ -200,7 +255,7 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
         local_orphans[task].push_back(static_cast<data::PointId>(i));
         continue;
       }
-      const linalg::Vector x = model.Project(row);
+      model.Project(row, x);
       for (uint32_t id : ids) accs[id].Add(x, 1.0);
     }
   });
@@ -226,18 +281,11 @@ Result<GmmModel> InitializeFromCores(const data::Dataset& dataset,
       num_tasks, std::vector<MomentAccumulator>(k, MomentAccumulator(dim)));
   auto assign_orphans = [&](size_t task) {
     auto& accs = orphan_locals[task];
+    linalg::Vector x;
+    linalg::Vector scratch;
     for (data::PointId p : local_orphans[task]) {
-      const linalg::Vector x = model.Project(dataset.Row(p));
-      size_t best = 0;
-      double best_dist = std::numeric_limits<double>::infinity();
-      for (size_t c = 0; c < k; ++c) {
-        const double dist = evaluator->MahalanobisSquared(c, x);
-        if (dist < best_dist) {
-          best_dist = dist;
-          best = c;
-        }
-      }
-      accs[best].Add(x, 1.0);
+      model.Project(dataset.Row(p), x);
+      accs[evaluator->MahalanobisNearest(x, scratch)].Add(x, 1.0);
     }
   };
   if (pool != nullptr) {
@@ -285,12 +333,12 @@ Result<EmResult> RunEm(const data::Dataset& dataset, GmmModel initial,
     std::vector<double> local_ll(num_tasks, 0.0);
     ForEachRange(n, pool, [&](size_t task, size_t begin, size_t end) {
       std::vector<double> r;
+      linalg::Vector x;
+      linalg::Vector scratch;
       auto& accs = locals[task];
       for (size_t i = begin; i < end; ++i) {
-        const linalg::Vector x =
-            result.model.Project(dataset.Row(static_cast<data::PointId>(i)));
-        evaluator->Responsibilities(x, r);
-        local_ll[task] += evaluator->LogLikelihood(x);
+        result.model.Project(dataset.Row(static_cast<data::PointId>(i)), x);
+        local_ll[task] += evaluator->EStep(x, r, scratch).log_likelihood;
         for (size_t c = 0; c < k; ++c) {
           if (r[c] > 1e-12) accs[c].Add(x, r[c]);
         }

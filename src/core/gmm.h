@@ -33,6 +33,9 @@ struct GmmModel {
 
   /// Projects a full d-dimensional row onto the Arel coordinates.
   linalg::Vector Project(std::span<const double> row) const;
+  /// The same projection into `out` (resized to dim()); a per-point loop
+  /// that reuses one buffer allocates nothing.
+  void Project(std::span<const double> row, linalg::Vector& out) const;
 };
 
 /// Computes the union of relevant attributes over all cluster cores
@@ -49,21 +52,41 @@ class GmmEvaluator {
 
   size_t num_components() const { return factors_.size(); }
 
-  /// log w_k + log N(x | mu_k, Sigma_k); x in Arel coordinates.
-  double LogWeightedDensity(size_t k, const linalg::Vector& x) const;
+  // Every per-point evaluation takes a caller-owned `scratch` vector
+  // for its triangular solves; reusing one per thread or mapper keeps
+  // the per-point path free of heap allocation. The all-component
+  // evaluations (EStep, HardAssign, MahalanobisNearest) solve the k
+  // systems together through kernels::Ops::mahalanobis_batch, bit-exact
+  // with the one-component LogWeightedDensity / MahalanobisSquared.
 
-  /// Posterior responsibilities r_k(x); returns the argmax component.
-  size_t Responsibilities(const linalg::Vector& x,
-                          std::vector<double>& r) const;
+  /// log w_k + log N(x | mu_k, Sigma_k); x in Arel coordinates.
+  double LogWeightedDensity(size_t k, const linalg::Vector& x,
+                            linalg::Vector& scratch) const;
+
+  /// One E-step evaluation of x: the k log-weighted densities, once.
+  /// `r` receives the posterior responsibilities r_k(x) (their softmax);
+  /// `log_likelihood` is log p(x) under the mixture, the log-sum-exp of
+  /// the same densities, reusing the softmax's max and in-order exp sum.
+  /// `argmax` is the first most probable component.
+  struct Posterior {
+    size_t argmax = 0;
+    double log_likelihood = 0.0;
+  };
+  Posterior EStep(const linalg::Vector& x, std::vector<double>& r,
+                  linalg::Vector& scratch) const;
 
   /// Hard assignment: argmax_k posterior (ties to the lowest index).
-  size_t HardAssign(const linalg::Vector& x) const;
+  size_t HardAssign(const linalg::Vector& x, linalg::Vector& scratch) const;
+
+  /// The component with the smallest Mahalanobis distance to x (ties to
+  /// the lowest index); §5.4 attaches points outside every support set
+  /// to it.
+  size_t MahalanobisNearest(const linalg::Vector& x,
+                            linalg::Vector& scratch) const;
 
   /// Squared Mahalanobis distance of x to component k.
-  double MahalanobisSquared(size_t k, const linalg::Vector& x) const;
-
-  /// log p(x) under the mixture (log-sum-exp over components).
-  double LogLikelihood(const linalg::Vector& x) const;
+  double MahalanobisSquared(size_t k, const linalg::Vector& x,
+                            linalg::Vector& scratch) const;
 
  private:
   struct Factor {
@@ -71,10 +94,20 @@ class GmmEvaluator {
     linalg::Vector mean;
     double log_norm;  ///< log w_k - 0.5 logdet - (dim/2) log(2 pi)
   };
-  explicit GmmEvaluator(std::vector<Factor> factors)
-      : factors_(std::move(factors)) {}
+  explicit GmmEvaluator(std::vector<Factor> factors);
+
+  /// Squared Mahalanobis distances of x to all components, written to
+  /// the tail of `scratch`; returns a pointer to the k of them.
+  const double* AllMahalanobisSquared(const linalg::Vector& x,
+                                      linalg::Vector& scratch) const;
 
   std::vector<Factor> factors_;
+  size_t dim_ = 0;
+  size_t num_groups_ = 0;  ///< ceil(k / kernels::kBatchLanes)
+  /// The means and lower factors in mahalanobis_batch's interleaved
+  /// layout; padding lanes hold a zero mean and the identity.
+  std::vector<double> packed_means_;
+  std::vector<double> packed_factors_;
 };
 
 /// Outcome of an EM run.

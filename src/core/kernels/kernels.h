@@ -56,11 +56,14 @@ struct Ops {
 
   /// In-place softmax over log-weighted densities (the GMM E-step
   /// responsibility normalization): m = max(logw), logw[i] =
-  /// exp(logw[i] - m), then divide by the in-order sum. Returns the
-  /// index of the first maximum (0 when k == 0 or nothing exceeds
-  /// -inf). exp stays scalar and the sum stays in index order in every
-  /// backend, so results are bit-exact across backends.
-  size_t (*softmax_normalize)(double* logw, size_t k);
+  /// exp(logw[i] - m), then divide by the in-order sum s. Writes the
+  /// log-sum-exp m + log(s) — the point's mixture log-likelihood — to
+  /// *log_sum_exp, so the E step never recomputes the exps. Returns the
+  /// index of the first maximum (0 when k == 0 or nothing exceeds -inf).
+  /// exp is scalar and s is summed in index order; every backend uses
+  /// the one scalar implementation (DESIGN.md §14.1), so results are
+  /// bit-exact across backends.
+  size_t (*softmax_normalize)(double* logw, size_t k, double* log_sum_exp);
 
   /// acc[i] += a * x[i] for i < n (weighted-moment accumulation).
   void (*axpy)(double* acc, const double* x, double a, size_t n);
@@ -70,7 +73,36 @@ struct Ops {
   /// is part of the contract (it preserves existing entries exactly,
   /// including signed zeros and NaN propagation).
   void (*outer_accumulate)(double* out, const double* x, double w, size_t d);
+
+  /// Squared Mahalanobis distances of one point x (n coordinates) to
+  /// num_groups * kBatchLanes Gaussians at once: the E step's k
+  /// triangular solves per point. Gaussian c = g * kBatchLanes + l is
+  /// lane l of group g, with means[(g*n + i) * kBatchLanes + l] = mu_c[i]
+  /// and factors[((g*n + j)*n + i) * kBatchLanes + l] = L_c(i, j), the
+  /// lower Cholesky factor of Sigma_c (entries with i < j are never
+  /// read). d2[c] = |y|^2 for L_c y = x - mu_c, solved column by column
+  /// in `scratch` (n * kBatchLanes doubles): y_j = b_j / L(j, j), then
+  /// b_i -= L(i, j) * y_j for i > j, the squares summed in j order.
+  /// Each b_i thus subtracts its terms in increasing j, exactly as the
+  /// row-by-row solve of linalg::Cholesky::MahalanobisSquared does, so
+  /// every lane is bit-exact with it; the column order only frees the
+  /// rows' updates from one serial dependency chain. Padding lanes need
+  /// a nonzero diagonal.
+  void (*mahalanobis_batch)(const double* x, const double* means,
+                            const double* factors, size_t n,
+                            size_t num_groups, double* scratch, double* d2);
 };
+
+/// Lane count of the component-interleaved layout mahalanobis_batch
+/// reads (one AVX2 register of doubles).
+inline constexpr size_t kBatchLanes = 4;
+
+namespace detail {
+/// The one softmax_normalize implementation, shared by every backend's
+/// table: vectorizing its max and divide loops measured no faster than
+/// this scalar loop at the E step's k (DESIGN.md §14.1).
+size_t SoftmaxNormalize(double* logw, size_t k, double* log_sum_exp);
+}  // namespace detail
 
 /// The scalar reference backend (always available).
 const Ops& ScalarOps();

@@ -11,6 +11,9 @@
 //    file must not be compiled with -mfma, or GCC would contract
 //    mul+add chains and break equivalence;
 //  - std::exp stays scalar and reductions stay in index order.
+//
+// softmax_normalize is the shared scalar implementation: an AVX2 max and
+// divide measured 0.70-1.00x of it at the E step's k (DESIGN.md §14.1).
 
 #include "src/core/kernels/kernels.h"
 
@@ -22,7 +25,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 namespace p3c::core::kernels {
 namespace {
@@ -122,54 +124,6 @@ void HistogramBin(const double* xs, size_t n, size_t stride, size_t num_bins,
   for (; i < n; ++i) ++counts[ScalarBinIndex(xs[i * stride], num_bins)];
 }
 
-size_t SoftmaxNormalize(double* logw, size_t k) {
-  const double ninf = -std::numeric_limits<double>::infinity();
-  double max_log = ninf;
-  size_t i = 0;
-  if (k >= 4) {
-    // Strict-greater blend, not _mm256_max_pd: NaN lanes must keep the
-    // running max (scalar `>` skips NaN) instead of propagating.
-    __m256d vmax = _mm256_set1_pd(ninf);
-    for (; i + 4 <= k; i += 4) {
-      const __m256d v = _mm256_loadu_pd(logw + i);
-      vmax = _mm256_blendv_pd(vmax, v, _mm256_cmp_pd(v, vmax, _CMP_GT_OQ));
-    }
-    alignas(32) double lanes[4];
-    _mm256_store_pd(lanes, vmax);
-    for (int l = 0; l < 4; ++l) {
-      if (lanes[l] > max_log) max_log = lanes[l];
-    }
-  }
-  for (; i < k; ++i) {
-    if (logw[i] > max_log) max_log = logw[i];
-  }
-  // First index holding the max value == the index the scalar backend's
-  // strict-greater update would have kept. All -inf/NaN inputs leave
-  // max_log at -inf, where the scalar argmax is 0.
-  size_t argmax = 0;
-  if (max_log != ninf) {
-    for (size_t j = 0; j < k; ++j) {
-      if (logw[j] == max_log) {
-        argmax = j;
-        break;
-      }
-    }
-  }
-  double sum = 0.0;
-  for (size_t j = 0; j < k; ++j) {
-    logw[j] = std::exp(logw[j] - max_log);
-    sum += logw[j];
-  }
-  const __m256d vsum = _mm256_set1_pd(sum);
-  size_t j = 0;
-  for (; j + 4 <= k; j += 4) {
-    _mm256_storeu_pd(logw + j,
-                     _mm256_div_pd(_mm256_loadu_pd(logw + j), vsum));
-  }
-  for (; j < k; ++j) logw[j] /= sum;
-  return argmax;
-}
-
 void Axpy(double* acc, const double* x, double a, size_t n) {
   const __m256d va = _mm256_set1_pd(a);
   size_t i = 0;
@@ -197,9 +151,41 @@ void OuterAccumulate(double* out, const double* x, double w, size_t d) {
   }
 }
 
+// One register holds the four lanes of a group: the same div, mul and
+// sub per lane as the scalar loop, and the squares summed in j order.
+void MahalanobisBatch(const double* x, const double* means,
+                      const double* factors, size_t n, size_t num_groups,
+                      double* scratch, double* d2) {
+  static_assert(kBatchLanes == 4, "one __m256d per lane group");
+  for (size_t g = 0; g < num_groups; ++g) {
+    const double* mu = means + g * n * 4;
+    const double* lt = factors + g * n * n * 4;
+    for (size_t i = 0; i < n; ++i) {
+      _mm256_storeu_pd(scratch + i * 4,
+                       _mm256_sub_pd(_mm256_set1_pd(x[i]),
+                                     _mm256_loadu_pd(mu + i * 4)));
+    }
+    __m256d sum = _mm256_setzero_pd();
+    for (size_t j = 0; j < n; ++j) {
+      const double* col = lt + j * n * 4;
+      const __m256d y = _mm256_div_pd(_mm256_loadu_pd(scratch + j * 4),
+                                      _mm256_loadu_pd(col + j * 4));
+      sum = _mm256_add_pd(sum, _mm256_mul_pd(y, y));
+      for (size_t i = j + 1; i < n; ++i) {
+        _mm256_storeu_pd(
+            scratch + i * 4,
+            _mm256_sub_pd(_mm256_loadu_pd(scratch + i * 4),
+                          _mm256_mul_pd(_mm256_loadu_pd(col + i * 4), y)));
+      }
+    }
+    _mm256_storeu_pd(d2 + g * 4, sum);
+  }
+}
+
 constexpr Ops kAvx2Ops = {
-    "avx2",           BitmapAndReduce, SupportAccumulate, HistogramBin,
-    SoftmaxNormalize, Axpy,            OuterAccumulate,
+    "avx2",           BitmapAndReduce,          SupportAccumulate,
+    HistogramBin,     detail::SoftmaxNormalize, Axpy,
+    OuterAccumulate,  MahalanobisBatch,
 };
 
 }  // namespace

@@ -13,6 +13,30 @@
 // deliberately hobbled loop.
 
 namespace p3c::core::kernels {
+
+namespace detail {
+
+size_t SoftmaxNormalize(double* logw, size_t k, double* log_sum_exp) {
+  double max_log = -std::numeric_limits<double>::infinity();
+  size_t argmax = 0;
+  for (size_t i = 0; i < k; ++i) {
+    if (logw[i] > max_log) {
+      max_log = logw[i];
+      argmax = i;
+    }
+  }
+  double sum = 0.0;
+  for (size_t i = 0; i < k; ++i) {
+    logw[i] = std::exp(logw[i] - max_log);
+    sum += logw[i];
+  }
+  for (size_t i = 0; i < k; ++i) logw[i] /= sum;
+  *log_sum_exp = max_log + std::log(sum);
+  return argmax;
+}
+
+}  // namespace detail
+
 namespace {
 
 void BitmapAndReduce(uint64_t* bits, const uint64_t* const* masks,
@@ -51,24 +75,6 @@ void HistogramBin(const double* xs, size_t n, size_t stride, size_t num_bins,
   for (size_t i = 0; i < n; ++i) ++counts[BinIndex(xs[i * stride], num_bins)];
 }
 
-size_t SoftmaxNormalize(double* logw, size_t k) {
-  double max_log = -std::numeric_limits<double>::infinity();
-  size_t argmax = 0;
-  for (size_t i = 0; i < k; ++i) {
-    if (logw[i] > max_log) {
-      max_log = logw[i];
-      argmax = i;
-    }
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < k; ++i) {
-    logw[i] = std::exp(logw[i] - max_log);
-    sum += logw[i];
-  }
-  for (size_t i = 0; i < k; ++i) logw[i] /= sum;
-  return argmax;
-}
-
 void Axpy(double* acc, const double* x, double a, size_t n) {
   for (size_t i = 0; i < n; ++i) acc[i] += a * x[i];
 }
@@ -82,9 +88,40 @@ void OuterAccumulate(double* out, const double* x, double w, size_t d) {
   }
 }
 
+void MahalanobisBatch(const double* x, const double* means,
+                      const double* factors, size_t n, size_t num_groups,
+                      double* scratch, double* d2) {
+  constexpr size_t kLanes = kBatchLanes;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const double* mu = means + g * n * kLanes;
+    const double* lt = factors + g * n * n * kLanes;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t l = 0; l < kLanes; ++l) {
+        scratch[i * kLanes + l] = x[i] - mu[i * kLanes + l];
+      }
+    }
+    double sum[kLanes] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t j = 0; j < n; ++j) {
+      const double* col = lt + j * n * kLanes;
+      double y[kLanes];
+      for (size_t l = 0; l < kLanes; ++l) {
+        y[l] = scratch[j * kLanes + l] / col[j * kLanes + l];
+        sum[l] += y[l] * y[l];
+      }
+      for (size_t i = j + 1; i < n; ++i) {
+        for (size_t l = 0; l < kLanes; ++l) {
+          scratch[i * kLanes + l] -= col[i * kLanes + l] * y[l];
+        }
+      }
+    }
+    for (size_t l = 0; l < kLanes; ++l) d2[g * kLanes + l] = sum[l];
+  }
+}
+
 constexpr Ops kScalarOps = {
-    "scalar",          BitmapAndReduce, SupportAccumulate, HistogramBin,
-    SoftmaxNormalize, Axpy,            OuterAccumulate,
+    "scalar",         BitmapAndReduce,          SupportAccumulate,
+    HistogramBin,     detail::SoftmaxNormalize, Axpy,
+    OuterAccumulate,  MahalanobisBatch,
 };
 
 }  // namespace

@@ -100,20 +100,22 @@ Result<OutlierDetectionResult> DetectOutliers(const data::Dataset& dataset,
   // modes need it (the membership candidate of the OD job).
   std::vector<int32_t> hard(n, 0);
   ForEachRange(n, pool, [&](size_t, size_t begin, size_t end) {
+    linalg::Vector x;
+    linalg::Vector scratch;
     for (size_t i = begin; i < end; ++i) {
-      const linalg::Vector x =
-          model.Project(dataset.Row(static_cast<data::PointId>(i)));
-      hard[i] = static_cast<int32_t>(evaluator->HardAssign(x));
+      model.Project(dataset.Row(static_cast<data::PointId>(i)), x);
+      hard[i] = static_cast<int32_t>(evaluator->HardAssign(x, scratch));
     }
   });
 
   if (params.outlier == OutlierMode::kNaive) {
     ForEachRange(n, pool, [&](size_t, size_t begin, size_t end) {
+      linalg::Vector x;
+      linalg::Vector scratch;
       for (size_t i = begin; i < end; ++i) {
-        const linalg::Vector x =
-            model.Project(dataset.Row(static_cast<data::PointId>(i)));
+        model.Project(dataset.Row(static_cast<data::PointId>(i)), x);
         const double d2 = evaluator->MahalanobisSquared(
-            static_cast<size_t>(hard[i]), x);
+            static_cast<size_t>(hard[i]), x, scratch);
         result.assignment[i] = d2 > critical ? -1 : hard[i];
       }
     });
@@ -180,11 +182,12 @@ Result<OutlierDetectionResult> DetectOutliers(const data::Dataset& dataset,
   }
 
   ForEachRange(n, pool, [&](size_t, size_t begin, size_t end) {
+    linalg::Vector x;
+    linalg::Vector scratch;
     for (size_t i = begin; i < end; ++i) {
-      const linalg::Vector x =
-          model.Project(dataset.Row(static_cast<data::PointId>(i)));
+      model.Project(dataset.Row(static_cast<data::PointId>(i)), x);
       const auto c = static_cast<size_t>(hard[i]);
-      const double d2 = factors[c].MahalanobisSquared(x, centers[c]);
+      const double d2 = factors[c].MahalanobisSquared(x, centers[c], scratch);
       result.assignment[i] = d2 > critical ? -1 : hard[i];
     }
   });

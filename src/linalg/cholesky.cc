@@ -69,11 +69,18 @@ double Cholesky::LogDet() const {
 }
 
 double Cholesky::MahalanobisSquared(const Vector& x, const Vector& mu) const {
+  Vector y;
+  return MahalanobisSquared(x, mu, y);
+}
+
+double Cholesky::MahalanobisSquared(const Vector& x, const Vector& mu,
+                                    Vector& scratch) const {
   const size_t n = l_.rows();
   assert(x.size() == n && mu.size() == n);
   // Forward substitution of (x - mu) through L; the squared norm of the
   // result equals (x-mu)^T A^{-1} (x-mu).
-  Vector y(n);
+  scratch.resize(n);
+  double* y = scratch.data();
   double acc_sq = 0.0;
   for (size_t i = 0; i < n; ++i) {
     double acc = x[i] - mu[i];

@@ -33,6 +33,12 @@ class Cholesky {
   /// forming the inverse: forward-substitute L y = (x - mu), return |y|^2.
   double MahalanobisSquared(const Vector& x, const Vector& mu) const;
 
+  /// The same value, forward-substituting into caller-owned `scratch`
+  /// (resized to dim()), so a per-point loop that reuses one buffer
+  /// allocates nothing.
+  double MahalanobisSquared(const Vector& x, const Vector& mu,
+                            Vector& scratch) const;
+
   size_t dim() const { return l_.rows(); }
   const Matrix& lower() const { return l_; }
 

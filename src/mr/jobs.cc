@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "src/common/resource.h"
+#include "src/core/kernels/kernels.h"
 #include "src/core/rssc.h"
 #include "src/stats/descriptive.h"
 
@@ -174,16 +175,15 @@ class MomentMapper : public Mapper<Record, int64_t, std::vector<double>> {
   void Map(const Record& record,
            Emitter<int64_t, std::vector<double>>& out) override {
     (void)out;
-    const linalg::Vector x =
-        config_->model->Project(config_->dataset->Row(record));
+    config_->model->Project(config_->dataset->Row(record), x_);
     contributions_.clear();
-    config_->membership->Contributions(record, x, contributions_);
+    log_likelihood_ +=
+        config_->membership->Contributions(record, x_, contributions_);
     for (const auto& [c, weight] : contributions_) {
       w_[c] += weight;
       w2_[c] += weight * weight;
-      for (size_t j = 0; j < dim_; ++j) lsum_[c][j] += weight * x[j];
+      kernels_.axpy(lsum_[c].data(), x_.data(), weight, dim_);
     }
-    log_likelihood_ += config_->membership->LogLikelihood(x);
   }
 
   void Cleanup(Emitter<int64_t, std::vector<double>>& out) override {
@@ -208,6 +208,8 @@ class MomentMapper : public Mapper<Record, int64_t, std::vector<double>> {
   std::vector<double> w2_;
   std::vector<linalg::Vector> lsum_;
   double log_likelihood_ = 0.0;
+  linalg::Vector x_;  // the current point, projected onto Arel
+  const core::kernels::Ops& kernels_ = core::kernels::Active();
   std::vector<std::pair<uint32_t, double>> contributions_;
   resource::ScopedBytes mem_{resource::MemScope::kGmmMatrices};
 };
@@ -225,20 +227,21 @@ class CovarianceMapper : public Mapper<Record, int64_t, std::vector<double>> {
       : config_(config),
         k_(config->model->num_components()),
         dim_(config->model->dim()),
-        acc_(k_, linalg::Matrix(dim_, dim_)) {
+        acc_(k_, linalg::Matrix(dim_, dim_)),
+        centered_(dim_) {
     mem_.Set(static_cast<int64_t>(k_ * dim_ * dim_ * sizeof(double)));
   }
 
   void Map(const Record& record,
            Emitter<int64_t, std::vector<double>>& out) override {
     (void)out;
-    const linalg::Vector x =
-        config_->model->Project(config_->dataset->Row(record));
+    config_->model->Project(config_->dataset->Row(record), x_);
     contributions_.clear();
-    config_->membership->Contributions(record, x, contributions_);
+    config_->membership->Contributions(record, x_, contributions_);
     for (const auto& [c, weight] : contributions_) {
-      const linalg::Vector centered = linalg::VecSub(x, (*config_->means)[c]);
-      acc_[c].AddOuterProduct(centered, weight);
+      const linalg::Vector& mean = (*config_->means)[c];
+      for (size_t j = 0; j < dim_; ++j) centered_[j] = x_[j] - mean[j];
+      acc_[c].AddOuterProduct(centered_, weight);
     }
   }
 
@@ -253,6 +256,8 @@ class CovarianceMapper : public Mapper<Record, int64_t, std::vector<double>> {
   size_t k_;
   size_t dim_;
   std::vector<linalg::Matrix> acc_;
+  linalg::Vector x_;         // the current point, projected onto Arel
+  linalg::Vector centered_;  // x_ minus one component's mean
   std::vector<std::pair<uint32_t, double>> contributions_;
   resource::ScopedBytes mem_{resource::MemScope::kGmmMatrices};
 };
@@ -279,11 +284,11 @@ class MvbBallMapper : public Mapper<Record, int64_t, std::vector<double>> {
     // split" -- here the projected coordinates, grouped by cluster.
     (void)split_index;
     (void)out;
+    linalg::Vector x;
+    linalg::Vector scratch;
     for (const Record& record : split) {
-      const linalg::Vector x =
-          config_->model->Project(config_->dataset->Row(record));
-      const size_t c = config_->evaluator->HardAssign(x);
-      members_[c].push_back(x);
+      config_->model->Project(config_->dataset->Row(record), x);
+      members_[config_->evaluator->HardAssign(x, scratch)].push_back(x);
     }
   }
 
@@ -347,11 +352,10 @@ class OdMapper : public Mapper<Record, data::PointId, int32_t> {
 
   void Map(const Record& record,
            Emitter<data::PointId, int32_t>& out) override {
-    const linalg::Vector x =
-        config_->model->Project(config_->dataset->Row(record));
-    const size_t c = config_->evaluator->HardAssign(x);
-    const double d2 =
-        (*config_->factors)[c].MahalanobisSquared(x, (*config_->centers)[c]);
+    config_->model->Project(config_->dataset->Row(record), x_);
+    const size_t c = config_->evaluator->HardAssign(x_, scratch_);
+    const double d2 = (*config_->factors)[c].MahalanobisSquared(
+        x_, (*config_->centers)[c], scratch_);
     const bool outlier = d2 > config_->critical;
     if (outlier) {
       ++outliers_;
@@ -371,6 +375,8 @@ class OdMapper : public Mapper<Record, data::PointId, int32_t> {
 
  private:
   const OdJobConfig* config_;
+  linalg::Vector x_;        // the current point, projected onto Arel
+  linalg::Vector scratch_;  // triangular-solve space
   uint64_t outliers_ = 0;
   uint64_t members_ = 0;
 };
@@ -594,6 +600,19 @@ Result<std::vector<uint64_t>> RunSupportJob(
     }
   }
   return supports;
+}
+
+double SoftMembership::Contributions(
+    data::PointId point, const linalg::Vector& x,
+    std::vector<std::pair<uint32_t, double>>& out) const {
+  (void)point;
+  thread_local std::vector<double> r;
+  thread_local linalg::Vector scratch;
+  const double log_likelihood = evaluator_.EStep(x, r, scratch).log_likelihood;
+  for (size_t c = 0; c < r.size(); ++c) {
+    if (r[c] > 1e-12) out.emplace_back(static_cast<uint32_t>(c), r[c]);
+  }
+  return log_likelihood;
 }
 
 Result<MomentSums> RunMomentJob(LocalRunner& runner,

@@ -61,15 +61,30 @@ class MembershipFn {
  public:
   virtual ~MembershipFn() = default;
   /// Appends (component, weight) contributions of `x` (Arel coordinates,
-  /// with `point` available for containment tests on the full row).
-  virtual void Contributions(
+  /// with `point` available for containment tests on the full row) and
+  /// returns the point's log-likelihood contribution: log p(x) for the
+  /// soft E-step membership, which gets it from the same mixture
+  /// evaluation as its weights, and 0 for the hard memberships.
+  virtual double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const = 0;
-  /// Optional log-likelihood contribution of the point (EM E-step).
-  virtual double LogLikelihood(const linalg::Vector& x) const {
-    (void)x;
-    return 0.0;
-  }
+};
+
+/// Soft EM membership (the §5.4 E step): every component whose
+/// posterior responsibility exceeds 1e-12, weighted by it. The point's
+/// log-likelihood comes from the same mixture evaluation, so a moment
+/// job evaluates each component density once per point.
+class SoftMembership : public MembershipFn {
+ public:
+  explicit SoftMembership(const core::GmmEvaluator& evaluator)
+      : evaluator_(evaluator) {}
+
+  double Contributions(
+      data::PointId point, const linalg::Vector& x,
+      std::vector<std::pair<uint32_t, double>>& out) const override;
+
+ private:
+  const core::GmmEvaluator& evaluator_;
 };
 
 /// First EM job of a step (and of the init rounds): accumulates w_C and

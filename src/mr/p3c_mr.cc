@@ -117,7 +117,7 @@ class CoreMembership : public MembershipFn {
                  const std::vector<core::Signature>& signatures)
       : dataset_(dataset), rssc_(signatures), k_(signatures.size()) {}
 
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     (void)x;
@@ -127,6 +127,7 @@ class CoreMembership : public MembershipFn {
     ids.clear();
     core::Rssc::BitsToIds(bits, k_, ids);
     for (uint32_t id : ids) out.emplace_back(id, 1.0);
+    return 0.0;
   }
 
  private:
@@ -143,51 +144,21 @@ class OrphanAssigningMembership : public MembershipFn {
                             const core::GmmEvaluator& evaluator)
       : cores_(cores), evaluator_(evaluator) {}
 
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     const size_t before = out.size();
     cores_.Contributions(point, x, out);
-    if (out.size() != before) return;
-    size_t best = 0;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (size_t c = 0; c < evaluator_.num_components(); ++c) {
-      const double dist = evaluator_.MahalanobisSquared(c, x);
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = c;
-      }
-    }
-    out.emplace_back(static_cast<uint32_t>(best), 1.0);
+    if (out.size() != before) return 0.0;
+    thread_local linalg::Vector scratch;
+    out.emplace_back(
+        static_cast<uint32_t>(evaluator_.MahalanobisNearest(x, scratch)),
+        1.0);
+    return 0.0;
   }
 
  private:
   const CoreMembership& cores_;
-  const core::GmmEvaluator& evaluator_;
-};
-
-/// Soft EM membership: posterior responsibilities (E step).
-class SoftMembership : public MembershipFn {
- public:
-  explicit SoftMembership(const core::GmmEvaluator& evaluator)
-      : evaluator_(evaluator) {}
-
-  void Contributions(
-      data::PointId point, const linalg::Vector& x,
-      std::vector<std::pair<uint32_t, double>>& out) const override {
-    (void)point;
-    thread_local std::vector<double> r;
-    evaluator_.Responsibilities(x, r);
-    for (size_t c = 0; c < r.size(); ++c) {
-      if (r[c] > 1e-12) out.emplace_back(static_cast<uint32_t>(c), r[c]);
-    }
-  }
-
-  double LogLikelihood(const linalg::Vector& x) const override {
-    return evaluator_.LogLikelihood(x);
-  }
-
- private:
   const core::GmmEvaluator& evaluator_;
 };
 
@@ -199,16 +170,18 @@ class BallMembership : public MembershipFn {
                  const std::vector<MvbBall>& balls)
       : evaluator_(evaluator), balls_(balls) {}
 
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     (void)point;
-    const size_t c = evaluator_.HardAssign(x);
+    thread_local linalg::Vector scratch;
+    const size_t c = evaluator_.HardAssign(x, scratch);
     const MvbBall& ball = balls_[c];
-    if (ball.center.empty()) return;
+    if (ball.center.empty()) return 0.0;
     if (std::sqrt(linalg::SquaredDistance(x, ball.center)) <= ball.radius) {
       out.emplace_back(static_cast<uint32_t>(c), 1.0);
     }
+    return 0.0;
   }
 
  private:

@@ -90,6 +90,24 @@ TEST(CholeskyTest, MahalanobisOfMeanIsZero) {
   EXPECT_NEAR(chol->MahalanobisSquared(mu, mu), 0.0, 1e-14);
 }
 
+TEST(CholeskyTest, MahalanobisScratchOverloadIsBitIdentical) {
+  Rng rng(9);
+  const Matrix a = RandomSpd(5, rng);
+  Result<Cholesky> chol = Cholesky::Factorize(a);
+  ASSERT_TRUE(chol.ok());
+  const Vector mu = {0.1, -0.2, 0.3, 0.0, 0.7};
+  // Reused scratch of the wrong size and stale contents is resized and
+  // overwritten before it is read.
+  Vector scratch(9, 123.0);
+  for (int trial = 0; trial < 4; ++trial) {
+    Vector x(5);
+    for (double& v : x) v = rng.Gaussian();
+    EXPECT_EQ(chol->MahalanobisSquared(x, mu, scratch),
+              chol->MahalanobisSquared(x, mu));
+    EXPECT_EQ(scratch.size(), 5u);
+  }
+}
+
 // Property sweep: solve/inverse accuracy across dimensions.
 class CholeskyDimTest : public ::testing::TestWithParam<size_t> {};
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/data/generator.h"
@@ -48,26 +50,29 @@ TEST(GmmEvaluatorTest, DensityIntegratesSensibly) {
   const GmmModel model = TwoComponentModel();
   Result<GmmEvaluator> eval = GmmEvaluator::Make(model, 1e-6);
   ASSERT_TRUE(eval.ok());
+  linalg::Vector scratch;
   // Density at a component mean: log(w) + log(1/(2 pi sigma^2)) with
   // sigma^2 = 0.01 -> log(0.5) + log(1/(2 pi 0.01)).
   const double expected =
       std::log(0.5) - std::log(2.0 * M_PI * 0.01);
-  EXPECT_NEAR(eval->LogWeightedDensity(0, {0.2, 0.2}), expected, 1e-9);
+  EXPECT_NEAR(eval->LogWeightedDensity(0, {0.2, 0.2}, scratch), expected,
+              1e-9);
 }
 
 TEST(GmmEvaluatorTest, HardAssignAndResponsibilities) {
   const GmmModel model = TwoComponentModel();
   Result<GmmEvaluator> eval = GmmEvaluator::Make(model, 1e-6);
   ASSERT_TRUE(eval.ok());
-  EXPECT_EQ(eval->HardAssign({0.25, 0.2}), 0u);
-  EXPECT_EQ(eval->HardAssign({0.75, 0.8}), 1u);
+  linalg::Vector scratch;
+  EXPECT_EQ(eval->HardAssign({0.25, 0.2}, scratch), 0u);
+  EXPECT_EQ(eval->HardAssign({0.75, 0.8}, scratch), 1u);
   std::vector<double> r;
-  const size_t argmax = eval->Responsibilities({0.2, 0.2}, r);
+  const size_t argmax = eval->EStep({0.2, 0.2}, r, scratch).argmax;
   EXPECT_EQ(argmax, 0u);
   EXPECT_NEAR(r[0] + r[1], 1.0, 1e-12);
   EXPECT_GT(r[0], 0.999);
   // Exactly in the middle: symmetric responsibilities.
-  eval->Responsibilities({0.5, 0.5}, r);
+  eval->EStep({0.5, 0.5}, r, scratch);
   EXPECT_NEAR(r[0], 0.5, 1e-9);
 }
 
@@ -75,9 +80,10 @@ TEST(GmmEvaluatorTest, MahalanobisSquared) {
   const GmmModel model = TwoComponentModel();
   Result<GmmEvaluator> eval = GmmEvaluator::Make(model, 1e-6);
   ASSERT_TRUE(eval.ok());
+  linalg::Vector scratch;
   // Isotropic sigma^2 = 0.01: d^2 = |x - mu|^2 / 0.01.
-  EXPECT_NEAR(eval->MahalanobisSquared(0, {0.3, 0.2}), 1.0, 1e-9);
-  EXPECT_NEAR(eval->MahalanobisSquared(0, {0.2, 0.2}), 0.0, 1e-12);
+  EXPECT_NEAR(eval->MahalanobisSquared(0, {0.3, 0.2}, scratch), 1.0, 1e-9);
+  EXPECT_NEAR(eval->MahalanobisSquared(0, {0.2, 0.2}, scratch), 0.0, 1e-12);
 }
 
 TEST(GmmEvaluatorTest, RegularizesSingularCovariance) {
@@ -85,7 +91,8 @@ TEST(GmmEvaluatorTest, RegularizesSingularCovariance) {
   model.components[0].cov = linalg::Matrix(2, 2);  // all zeros, singular
   Result<GmmEvaluator> eval = GmmEvaluator::Make(model, 1e-6);
   ASSERT_TRUE(eval.ok());  // ridge escalation must fix it
-  EXPECT_TRUE(std::isfinite(eval->LogWeightedDensity(0, {0.5, 0.5})));
+  linalg::Vector scratch;
+  EXPECT_TRUE(std::isfinite(eval->LogWeightedDensity(0, {0.5, 0.5}, scratch)));
 }
 
 TEST(GmmEvaluatorTest, LogLikelihoodIsMixture) {
@@ -93,10 +100,98 @@ TEST(GmmEvaluatorTest, LogLikelihoodIsMixture) {
   Result<GmmEvaluator> eval = GmmEvaluator::Make(model, 1e-6);
   ASSERT_TRUE(eval.ok());
   const linalg::Vector x = {0.5, 0.5};
+  linalg::Vector scratch;
   const double direct = std::log(
-      std::exp(eval->LogWeightedDensity(0, x)) +
-      std::exp(eval->LogWeightedDensity(1, x)));
-  EXPECT_NEAR(eval->LogLikelihood(x), direct, 1e-9);
+      std::exp(eval->LogWeightedDensity(0, x, scratch)) +
+      std::exp(eval->LogWeightedDensity(1, x, scratch)));
+  std::vector<double> r;
+  EXPECT_NEAR(eval->EStep(x, r, scratch).log_likelihood, direct, 1e-9);
+}
+
+/// Checks EStep bit for bit against a reference built from the separate
+/// LogWeightedDensity evaluations: the first-maximum argmax, the
+/// max-shifted softmax, and the log-sum-exp max + log(in-order sum).
+/// Returns the reference log-densities for case-specific checks.
+std::vector<double> ExpectEStepMatchesReference(const GmmEvaluator& eval,
+                                                const linalg::Vector& x) {
+  linalg::Vector scratch;
+  const size_t k = eval.num_components();
+  std::vector<double> logw(k);
+  for (size_t c = 0; c < k; ++c) {
+    logw[c] = eval.LogWeightedDensity(c, x, scratch);
+  }
+  size_t argmax = 0;
+  double max_log = -std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < k; ++c) {
+    if (logw[c] > max_log) {
+      max_log = logw[c];
+      argmax = c;
+    }
+  }
+  std::vector<double> expected_r(k);
+  double sum = 0.0;
+  for (size_t c = 0; c < k; ++c) {
+    expected_r[c] = std::exp(logw[c] - max_log);
+    sum += expected_r[c];
+  }
+  for (double& v : expected_r) v /= sum;
+
+  std::vector<double> r;
+  const GmmEvaluator::Posterior posterior = eval.EStep(x, r, scratch);
+  EXPECT_EQ(posterior.argmax, argmax);
+  EXPECT_EQ(posterior.log_likelihood, max_log + std::log(sum));
+  EXPECT_EQ(r, expected_r);
+  EXPECT_EQ(eval.HardAssign(x, scratch), argmax);
+  return logw;
+}
+
+TEST(GmmEvaluatorTest, EStepMatchesSeparateEvaluationsOrdinaryPoint) {
+  const Result<GmmEvaluator> eval =
+      GmmEvaluator::Make(TwoComponentModel(), 1e-6);
+  ASSERT_TRUE(eval.ok());
+  ExpectEStepMatchesReference(*eval, {0.3, 0.45});
+}
+
+TEST(GmmEvaluatorTest, EStepMatchesSeparateEvaluationsFarFromEveryComponent) {
+  const Result<GmmEvaluator> eval =
+      GmmEvaluator::Make(TwoComponentModel(), 1e-6);
+  ASSERT_TRUE(eval.ok());
+  const std::vector<double> logw =
+      ExpectEStepMatchesReference(*eval, {5.0, 5.0});
+  // Every density underflows exp() unshifted, yet the max shift keeps
+  // the responsibilities and the log-likelihood finite.
+  for (double l : logw) {
+    EXPECT_LT(l, -745.0);
+    EXPECT_EQ(std::exp(l), 0.0);
+  }
+  std::vector<double> r;
+  linalg::Vector scratch;
+  const double ll = eval->EStep({5.0, 5.0}, r, scratch).log_likelihood;
+  EXPECT_TRUE(std::isfinite(ll));
+  EXPECT_NEAR(r[0] + r[1], 1.0, 1e-12);
+}
+
+TEST(GmmEvaluatorTest, EStepTieGoesToTheLowestIndex) {
+  // Components 1 and 2 sit at exactly +-0.25 (binary-exact) from x with
+  // equal weights and covariances, so their densities tie bit for bit;
+  // component 0 is far away.
+  GmmModel model;
+  model.arel = {0, 1};
+  for (const linalg::Vector& mean :
+       {linalg::Vector{0.9, 0.1}, linalg::Vector{0.25, 0.25},
+        linalg::Vector{0.75, 0.75}}) {
+    model.components.push_back(GaussianComponent{
+        mean, linalg::Matrix::Identity(2).Scale(0.01), 1.0 / 3.0});
+  }
+  const Result<GmmEvaluator> eval = GmmEvaluator::Make(model, 1e-6);
+  ASSERT_TRUE(eval.ok());
+  const std::vector<double> logw =
+      ExpectEStepMatchesReference(*eval, {0.5, 0.5});
+  ASSERT_EQ(logw[1], logw[2]);
+  std::vector<double> r;
+  linalg::Vector scratch;
+  EXPECT_EQ(eval->EStep({0.5, 0.5}, r, scratch).argmax, 1u);
+  EXPECT_EQ(r[1], r[2]);
 }
 
 data::Dataset TwoBlobData(size_t n, Rng& rng) {

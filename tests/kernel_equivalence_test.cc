@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -21,6 +22,8 @@
 #include "src/core/signature.h"
 #include "src/core/support_counter.h"
 #include "src/data/dataset.h"
+#include "src/linalg/cholesky.h"
+#include "src/linalg/matrix.h"
 #include "src/stats/histogram.h"
 
 namespace p3c::core::kernels {
@@ -74,6 +77,7 @@ TEST(KernelDispatchTest, ScalarAlwaysAvailableAndLast) {
     EXPECT_NE(ops->softmax_normalize, nullptr);
     EXPECT_NE(ops->axpy, nullptr);
     EXPECT_NE(ops->outer_accumulate, nullptr);
+    EXPECT_NE(ops->mahalanobis_batch, nullptr);
   }
 }
 
@@ -217,12 +221,24 @@ TEST_P(KernelEquivalenceTest, SoftmaxMatchesScalarBitwise) {
   for (const auto& logw : cases) {
     std::vector<double> expected = logw;
     std::vector<double> actual = logw;
-    const size_t argmax_expected =
-        ScalarOps().softmax_normalize(expected.data(), expected.size());
+    double lse_expected = 0.0;
+    double lse_actual = 0.0;
+    const size_t argmax_expected = ScalarOps().softmax_normalize(
+        expected.data(), expected.size(), &lse_expected);
     const size_t argmax_actual =
-        ops().softmax_normalize(actual.data(), actual.size());
+        ops().softmax_normalize(actual.data(), actual.size(), &lse_actual);
     EXPECT_EQ(argmax_actual, argmax_expected) << "k=" << logw.size();
     EXPECT_TRUE(BitEqual(actual, expected)) << "k=" << logw.size();
+    EXPECT_TRUE(BitEqual({lse_actual}, {lse_expected})) << "k=" << logw.size();
+    // The log-sum-exp output is the two-pass reference max + log(sum of
+    // exp(l - max) in index order), bit for bit — NaN for the all -inf
+    // case, -inf for k == 0.
+    double max_log = -kInf;
+    for (double l : logw) max_log = std::max(max_log, l);
+    double sum = 0.0;
+    for (double l : logw) sum += std::exp(l - max_log);
+    EXPECT_TRUE(BitEqual({lse_actual}, {max_log + std::log(sum)}))
+        << "k=" << logw.size();
   }
 }
 
@@ -261,6 +277,68 @@ TEST_P(KernelEquivalenceTest, OuterAccumulateMatchesScalarBitwise) {
       ScalarOps().outer_accumulate(expected.data(), x.data(), w, d);
       ops().outer_accumulate(actual.data(), x.data(), w, d);
       EXPECT_TRUE(BitEqual(actual, expected)) << "d=" << d << " w=" << w;
+    }
+  }
+}
+
+// ---- mahalanobis_batch ------------------------------------------------------
+
+TEST_P(KernelEquivalenceTest, MahalanobisBatchMatchesCholeskyBitwise) {
+  Rng rng(29);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                   size_t{28}}) {
+    for (size_t k : {size_t{1}, size_t{4}, size_t{5}, size_t{9}}) {
+      const size_t groups = (k + kBatchLanes - 1) / kBatchLanes;
+      // Random SPD covariances, factorized; padding lanes get the
+      // identity, as the contract asks.
+      std::vector<linalg::Cholesky> chols;
+      std::vector<linalg::Vector> means(k, linalg::Vector(n));
+      std::vector<double> packed_means(groups * n * kBatchLanes, 0.0);
+      std::vector<double> packed(groups * n * n * kBatchLanes, kNan);
+      for (size_t c = 0; c < groups * kBatchLanes; ++c) {
+        const size_t g = c / kBatchLanes;
+        const size_t lane = c % kBatchLanes;
+        linalg::Matrix lower = linalg::Matrix::Identity(n);
+        if (c < k) {
+          linalg::Matrix a(n, n);
+          for (size_t i = 0; i < n; ++i) {
+            for (size_t j = 0; j < n; ++j) a(i, j) = rng.Gaussian();
+          }
+          linalg::Matrix spd = a.MatMul(a.Transposed());
+          spd.AddToDiagonal(0.5);
+          chols.push_back(linalg::Cholesky::Factorize(spd).value());
+          lower = chols.back().lower();
+          for (double& v : means[c]) v = rng.Gaussian();
+        }
+        for (size_t j = 0; j < n; ++j) {
+          // Entries above the diagonal stay NaN: the kernel must not
+          // read them.
+          for (size_t i = j; i < n; ++i) {
+            packed[((g * n + j) * n + i) * kBatchLanes + lane] = lower(i, j);
+          }
+          if (c < k) {
+            packed_means[(g * n + j) * kBatchLanes + lane] = means[c][j];
+          }
+        }
+      }
+      linalg::Vector x(n);
+      for (double& v : x) v = rng.Gaussian();
+      std::vector<double> scratch(n * kBatchLanes);
+      std::vector<double> expected(groups * kBatchLanes);
+      std::vector<double> actual(groups * kBatchLanes);
+      ScalarOps().mahalanobis_batch(x.data(), packed_means.data(),
+                                    packed.data(), n, groups, scratch.data(),
+                                    expected.data());
+      ops().mahalanobis_batch(x.data(), packed_means.data(), packed.data(), n,
+                              groups, scratch.data(), actual.data());
+      EXPECT_TRUE(BitEqual(actual, expected)) << "n=" << n << " k=" << k;
+      linalg::Vector chol_scratch;
+      for (size_t c = 0; c < k; ++c) {
+        const double direct =
+            chols[c].MahalanobisSquared(x, means[c], chol_scratch);
+        EXPECT_TRUE(BitEqual({actual[c]}, {direct}))
+            << "n=" << n << " k=" << k << " c=" << c;
+      }
     }
   }
 }

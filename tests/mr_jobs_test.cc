@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "src/common/random.h"
 #include "src/core/attribute_inspection.h"
 #include "src/core/interval_tightening.h"
@@ -71,7 +74,7 @@ TEST(SupportJobTest, MatchesSerialCounter) {
 
 class UniformWeightMembership : public MembershipFn {
  public:
-  void Contributions(
+  double Contributions(
       data::PointId point, const linalg::Vector& x,
       std::vector<std::pair<uint32_t, double>>& out) const override {
     (void)x;
@@ -81,9 +84,6 @@ class UniformWeightMembership : public MembershipFn {
     } else {
       out.emplace_back(1, 0.5);
     }
-  }
-  double LogLikelihood(const linalg::Vector& x) const override {
-    (void)x;
     return 1.0;  // one per point: easy to verify the reducer sum
   }
 };
@@ -122,6 +122,43 @@ TEST(MomentJobTest, SumsMatchDirectComputation) {
     EXPECT_NEAR(sums.lsum[1][j], l1[j], 1e-9);
   }
   EXPECT_NEAR(sums.log_likelihood, 1000.0, 1e-9);
+}
+
+TEST(MrJobsTest, SoftMomentJobLogLikelihoodIsTheInOrderSerialSum) {
+  const size_t n = 1200;
+  const auto data = MakeData(70, n);
+  RunnerOptions options;
+  options.num_threads = 2;
+  options.records_per_split = n;  // one split: one in-order map task
+  LocalRunner runner(options);
+  core::GmmModel model;
+  model.arel = {0, 1, 2};
+  model.components = {
+      core::GaussianComponent{linalg::Vector(3, 0.3),
+                              linalg::Matrix::Identity(3).Scale(0.02), 0.4},
+      core::GaussianComponent{linalg::Vector(3, 0.7),
+                              linalg::Matrix::Identity(3).Scale(0.05), 0.6}};
+  const auto evaluator = core::GmmEvaluator::Make(model, 1e-6);
+  ASSERT_TRUE(evaluator.ok());
+  const SoftMembership soft(*evaluator);
+  const MomentSums sums =
+      RunMomentJob(runner, data.dataset, model, soft, "test-soft-moments")
+          .value();
+  // Serial reference: per point, the log-sum-exp of the separately
+  // evaluated component densities, summed in point order.
+  linalg::Vector scratch;
+  double serial = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto x =
+        model.Project(data.dataset.Row(static_cast<data::PointId>(i)));
+    const double l0 = evaluator->LogWeightedDensity(0, x, scratch);
+    const double l1 = evaluator->LogWeightedDensity(1, x, scratch);
+    const double max_log = std::max(l0, l1);
+    serial += max_log +
+              std::log(std::exp(l0 - max_log) + std::exp(l1 - max_log));
+  }
+  EXPECT_LT(serial, 0.0);
+  EXPECT_EQ(sums.log_likelihood, serial);
 }
 
 TEST(CovarianceJobTest, MatchesDirectOuterProducts) {
